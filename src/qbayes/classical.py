@@ -24,16 +24,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, SupportError, ZeroValidityError
-
-# Probabilities in [-PROB_CLIP, 0) are rounding noise and get clipped.
-PROB_CLIP = 1e-12
-SUM_TOL = 1e-9
-ZERO_VALIDITY = 1e-12
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+from .linalg import ZERO_VALIDITY, _checked_entries
 
 
 class Space:
@@ -125,18 +116,10 @@ class Dist:
     __slots__ = ("space", "probs")
 
     def __init__(self, space: Space, probs):
-        arr = np.asarray(probs, dtype=float).reshape(-1)
-        if arr.size != space.size:
-            raise DimensionError(
-                f"{arr.size} probabilities for a space of size {space.size}"
-            )
-        if arr.min() < -PROB_CLIP:
-            raise ValueError(f"negative probability {arr.min():.3e}")
-        arr = np.clip(arr, 0.0, None)
-        if abs(arr.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
+        self.probs = _checked_entries(
+            probs, (space.size,), "probabilities", stochastic=True
+        )
         self.space = space
-        self.probs = _freeze(arr)
 
     @classmethod
     def uniform(cls, space: Space) -> "Dist":
@@ -205,15 +188,10 @@ class FuzzyPred:
     __slots__ = ("space", "values")
 
     def __init__(self, space: Space, values):
-        arr = np.asarray(values, dtype=float).reshape(-1)
-        if arr.size != space.size:
-            raise DimensionError(
-                f"{arr.size} values for a space of size {space.size}"
-            )
-        if arr.min() < -PROB_CLIP or arr.max() > 1.0 + PROB_CLIP:
-            raise ValueError("predicate values must lie in [0, 1]")
+        self.values = _checked_entries(
+            values, (space.size,), "predicate values", stochastic=False
+        )
         self.space = space
-        self.values = _freeze(np.clip(arr, 0.0, 1.0))
 
     @classmethod
     def truth(cls, space: Space) -> "FuzzyPred":
@@ -240,20 +218,11 @@ class StochChannel:
     __slots__ = ("dom", "cod", "matrix")
 
     def __init__(self, dom: Space, cod: Space, matrix):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.shape != (dom.size, cod.size):
-            raise DimensionError(
-                f"matrix shape {mat.shape} does not match {dom.size}x{cod.size}"
-            )
-        if mat.min() < -PROB_CLIP:
-            raise ValueError(f"negative channel entry {mat.min():.3e}")
-        mat = np.clip(mat, 0.0, None)
-        sums = mat.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > SUM_TOL:
-            raise ValueError("channel rows must sum to 1")
+        self.matrix = _checked_entries(
+            matrix, (dom.size, cod.size), "channel rows", stochastic=True
+        )
         self.dom = dom
         self.cod = cod
-        self.matrix = _freeze(mat)
 
     @classmethod
     def identity(cls, space: Space) -> "StochChannel":

@@ -9,30 +9,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import classical as cl
 from . import quantum as qu
 from .classical import Dist, FuzzyPred, Space, StochChannel
-from .linalg import matrix_from_json
+from .errors import DimensionError
+from .linalg import IMAG_PRINT_TOL, matrix_from_json
 from .quantum import Effect, QChannel, QState
-from .verify import SUITES, TrialReport, fixed_witness, run_suite
+from .verify import (
+    FIXED_WITNESS_TOL,
+    SUITES,
+    TrialReport,
+    fixed_witness,
+    run_suite,
+)
 
 DEMO_TOL = 5e-4
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    suite: str | None = None
-    trials: int = 100
-    seed: int = 2024
-    dims: tuple[int, ...] = (3, 5)
-    tol: float | None = None
-    json_out: bool = False
-    file: str | None = None
 
 
 def smoking_model() -> dict:
@@ -113,21 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    return CliConfig(
-        command=ns.command,
-        suite=getattr(ns, "suite", None),
-        trials=getattr(ns, "trials", 100),
-        seed=getattr(ns, "seed", 2024),
-        dims=getattr(ns, "dims", (3, 5)),
-        tol=getattr(ns, "tol", None),
-        json_out=getattr(ns, "json_out", False),
-        file=getattr(ns, "file", None),
-    )
+def parse_args(argv) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
-def _cmd_demo(cfg: CliConfig) -> int:
+def _cmd_demo(cfg: argparse.Namespace) -> int:
     vals = smoking_model()
     dev = float(
         np.max(
@@ -175,10 +159,14 @@ def format_report(report: TrialReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    report = run_suite(
-        cfg.suite, trials=cfg.trials, seed=cfg.seed, dims=cfg.dims, tol=cfg.tol
-    )
+def _cmd_verify(cfg: argparse.Namespace) -> int:
+    try:
+        report = run_suite(
+            cfg.suite, trials=cfg.trials, seed=cfg.seed, dims=cfg.dims, tol=cfg.tol
+        )
+    except DimensionError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     if cfg.json_out:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -187,12 +175,12 @@ def _cmd_verify(cfg: CliConfig) -> int:
 
 
 def _fmt_matrix(mat: np.ndarray) -> str:
-    if np.max(np.abs(mat.imag)) < 1e-12:
+    if np.max(np.abs(mat.imag)) < IMAG_PRINT_TOL:
         mat = mat.real
     return np.array2string(mat, precision=4, suppress_small=True)
 
 
-def _cmd_witness(cfg: CliConfig) -> int:
+def _cmd_witness(cfg: argparse.Namespace) -> int:
     sigma, p, q = fixed_witness()
     pq = qu.condition_lower(qu.condition_lower(sigma, p), q)
     qp = qu.condition_lower(qu.condition_lower(sigma, q), p)
@@ -216,7 +204,7 @@ def _cmd_witness(cfg: CliConfig) -> int:
         print(f"(sigma|_p)|_q =\n{_fmt_matrix(pq.mat)}")
         print(f"(sigma|_q)|_p =\n{_fmt_matrix(qp.mat)}")
         print(f"Frobenius distance: {dist:.12g}")
-    return 0 if abs(dist - 1.0) <= 1e-10 else 1
+    return 0 if abs(dist - 1.0) <= FIXED_WITNESS_TOL else 1
 
 
 def _inspect_object(obj: dict) -> tuple[str, object]:
@@ -235,11 +223,11 @@ def _inspect_object(obj: dict) -> tuple[str, object]:
                 return "effect", Effect.from_json(obj)
         return "matrix", matrix_from_json(obj)
     if {"suite", "equations"} <= keys:
-        return "report", obj
+        return "report", TrialReport.from_json(obj)
     raise ValueError("unrecognized object shape")
 
 
-def _cmd_inspect(cfg: CliConfig) -> int:
+def _cmd_inspect(cfg: argparse.Namespace) -> int:
     try:
         with open(cfg.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -271,14 +259,7 @@ def _cmd_inspect(cfg: CliConfig) -> int:
     elif kind == "matrix":
         print(_indent(_fmt_matrix(value)))
     else:
-        print(f"suite={obj['suite']} seed={obj['seed']} trials={obj['trials']}")
-        for eq in obj["equations"]:
-            status = "PASS" if eq["pass"] else "FAIL"
-            print(
-                f"  {eq['name']:<28} max_dev={eq['max_dev']:.6e}  "
-                f"tol={eq['tol']:g}  {status}"
-            )
-        print(f"trial errors: {obj.get('trial_errors', 0)}")
+        print(format_report(value))
     return 0
 
 

@@ -40,10 +40,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .classical import Dist, FuzzyPred, StochChannel
 from .errors import DimensionError, NotPositiveError, ZeroValidityError
 from .linalg import (
+    CP_TOL,
+    EIG_CLIP,
+    HERMITIAN_TOL,
+    NORM_TOL,
+    ZERO_VALIDITY,
+    _checked_operator,
+    _freeze,
+    _require_finite,
     as_matrix,
     check_dims,
     matrix_from_json,
@@ -52,42 +59,47 @@ from .linalg import (
     psd_sqrt,
 )
 
-STATE_TRACE_TOL = 1e-9
-EFFECT_EIG_TOL = 1e-10
-UNITAL_TOL = 1e-9
-CP_TOL = 1e-8
-ZERO_VALIDITY = 1e-12
 
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-class QState:
-    """Density matrix with a recorded component structure `dims`."""
+class _Operator:
+    """What states and effects share: a square matrix over component dims."""
 
     __slots__ = ("mat", "dims")
-
-    def __init__(self, mat, dims):
-        m = as_matrix(mat).copy()
-        dims = check_dims(dims, m.shape[0])
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError("a state must be square")
-        if not linalg.is_hermitian(m):
-            raise NotPositiveError("state is not Hermitian")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -linalg.EIG_CLIP:
-            raise NotPositiveError(f"state has eigenvalue {eigs.min():.3e}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > STATE_TRACE_TOL:
-            raise ValueError(f"state has trace {tr!r}, not 1")
-        self.mat = _freeze(m)
-        self.dims = dims
 
     @property
     def flat(self) -> int:
         return self.mat.shape[0]
+
+    def tensor(self, other):
+        return type(self)(np.kron(self.mat, other.mat), self.dims + other.dims)
+
+    def transpose(self):
+        return type(self)(self.mat.T.copy(), self.dims)
+
+    def to_json(self) -> dict:
+        d = matrix_to_json(self.mat)
+        d["dims"] = list(self.dims)
+        return d
+
+    @classmethod
+    def from_json(cls, d: dict):
+        return cls(matrix_from_json(d), d["dims"])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dims={self.dims})"
+
+
+class QState(_Operator):
+    """Density matrix with a recorded component structure `dims`."""
+
+    __slots__ = ()
+
+    def __init__(self, mat, dims):
+        self.mat, self.dims, eigs = _checked_operator(mat, dims, "state")
+        if eigs.min() < -EIG_CLIP:
+            raise NotPositiveError(f"state has eigenvalue {eigs.min():.3e}")
+        tr = float(np.trace(self.mat).real)
+        if abs(tr - 1.0) > NORM_TOL:
+            raise ValueError(f"state has trace {tr!r}, not 1")
 
     @classmethod
     def from_vector(cls, v, dims) -> "QState":
@@ -104,76 +116,28 @@ class QState:
         n = int(np.prod(dims))
         return cls(np.eye(n) / n, dims)
 
-    def tensor(self, other: "QState") -> "QState":
-        return QState(np.kron(self.mat, other.mat), self.dims + other.dims)
-
     def marginal(self, mask) -> "QState":
         kept = tuple(d for d, b in zip(self.dims, mask) if int(b))
         return QState(partial_trace(self.mat, self.dims, mask), kept)
 
-    def transpose(self) -> "QState":
-        return QState(self.mat.T.copy(), self.dims)
 
-    def to_json(self) -> dict:
-        d = matrix_to_json(self.mat)
-        d["dims"] = list(self.dims)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "QState":
-        return cls(matrix_from_json(d), d["dims"])
-
-    def __repr__(self) -> str:
-        return f"QState(dims={self.dims})"
-
-
-class Effect:
+class Effect(_Operator):
     """Operator p with 0 <= p <= I; the quantum analogue of a fuzzy event."""
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ()
 
     def __init__(self, mat, dims):
-        m = as_matrix(mat).copy()
-        dims = check_dims(dims, m.shape[0])
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError("an effect must be square")
-        if not linalg.is_hermitian(m):
-            raise NotPositiveError("effect is not Hermitian")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -EFFECT_EIG_TOL or eigs.max() > 1.0 + EFFECT_EIG_TOL:
+        self.mat, self.dims, eigs = _checked_operator(mat, dims, "effect")
+        if eigs.min() < -EIG_CLIP or eigs.max() > 1.0 + EIG_CLIP:
             raise NotPositiveError(
                 f"effect eigenvalues [{eigs.min():.3e}, {eigs.max():.3e}] "
                 "leave [0, 1]"
             )
-        self.mat = _freeze(m)
-        self.dims = dims
-
-    @property
-    def flat(self) -> int:
-        return self.mat.shape[0]
 
     @classmethod
     def truth(cls, dims) -> "Effect":
         dims = check_dims(dims)
         return cls(np.eye(int(np.prod(dims))), dims)
-
-    def tensor(self, other: "Effect") -> "Effect":
-        return Effect(np.kron(self.mat, other.mat), self.dims + other.dims)
-
-    def transpose(self) -> "Effect":
-        return Effect(self.mat.T.copy(), self.dims)
-
-    def to_json(self) -> dict:
-        d = matrix_to_json(self.mat)
-        d["dims"] = list(self.dims)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Effect":
-        return cls(matrix_from_json(d), d["dims"])
-
-    def __repr__(self) -> str:
-        return f"Effect(dims={self.dims})"
 
 
 class QChannel:
@@ -197,19 +161,18 @@ class QChannel:
             raise DimensionError(
                 f"blocks shape {arr.shape}, expected {(m, m, n, n)}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("block entries must be finite")
+        _require_finite(arr, "block")
         # hermiticity pattern c[l, k] = c[k, l]^dag
         flipped = np.conj(np.transpose(arr, (1, 0, 3, 2)))
-        if np.max(np.abs(arr - flipped)) > linalg.HERMITIAN_TOL:
+        if np.max(np.abs(arr - flipped)) > HERMITIAN_TOL:
             raise NotPositiveError("blocks break the hermiticity pattern")
         unit = np.einsum("kkij->ij", arr)
         gap = unit - np.eye(n)
-        if np.max(np.abs(gap)) <= UNITAL_TOL:
+        if np.max(np.abs(gap)) <= NORM_TOL:
             unital = True
         else:
             defect = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
-            if defect.max() > UNITAL_TOL:
+            if defect.max() > NORM_TOL:
                 raise NotPositiveError("block diagonal sums above the identity")
             unital = False
         if check_cp:
@@ -261,14 +224,7 @@ class QChannel:
         """Predicate transformation c << q = sum_kl q[k, l] c[k, l]."""
         if q.dims != self.out_dims:
             raise DimensionError(f"effect dims {q.dims} vs {self.out_dims}")
-        return Effect(self.pull_matrix(q.mat), self.in_dims)
-
-    def pull_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Linear extension of the block grid to an arbitrary matrix."""
-        mat = as_matrix(mat)
-        if mat.shape != (self.out_flat, self.out_flat):
-            raise DimensionError("matrix does not match the codomain")
-        return np.einsum("kl,klij->ij", mat, self.blocks)
+        return Effect(np.einsum("kl,klij->ij", q.mat, self.blocks), self.in_dims)
 
     def push(self, sigma: QState) -> QState:
         """State transformation; requires a unital (truth-preserving) grid."""
@@ -342,10 +298,10 @@ def validity(sigma: QState, p: Effect) -> float:
     """Born validity sigma |= p = tr(sigma p), clamped to [0, 1]."""
     _same_dims(sigma, p)
     v = complex(np.trace(sigma.mat @ p.mat))
-    if abs(v.imag) > 1e-10:
+    if abs(v.imag) > EIG_CLIP:
         raise ValueError(f"validity has imaginary part {v.imag:.3e}")
     x = v.real
-    if x < -1e-10 or x > 1.0 + 1e-10:
+    if x < -EIG_CLIP or x > 1.0 + EIG_CLIP:
         raise ValueError(f"validity {x!r} leaves [0, 1]")
     return min(1.0, max(0.0, x))
 
@@ -398,15 +354,6 @@ def cup(n: int) -> QState:
     v = np.zeros(n * n, dtype=np.complex128)
     v[:: n + 1] = 1.0
     return QState(np.outer(v, v.conj()) / n, (n, n))
-
-
-def cap(n: int) -> Effect:
-    """The matching effect: same matrix as cup(n), read as a predicate.
-
-    Normalized by 1/n so its eigenvalues stay in [0, 1] (it is a rank-1
-    projection); the n=1 case is truth on the one-dimensional system.
-    """
-    return Effect(cup(n).mat, (n, n))
 
 
 def hat_state(omega: Dist) -> QState:

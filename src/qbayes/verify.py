@@ -11,7 +11,8 @@ Inequality claims (the non-commutation, non-reduction, and eta-law
 witnesses) are reported as shortfall equations: the deviation recorded is
 max(0, threshold - best_found), so the uniform rule pass == (max_dev <
 tol) still applies, and the witnessing inputs land in the report's
-witnesses list.
+witnesses list. The rule fails closed: a NaN deviation, or an equation
+that no trial evaluated, is a FAIL.
 
 Per-trial failures such as a singular marginal on a degenerate draw are
 counted in trial_errors rather than aborting the run.
@@ -28,6 +29,7 @@ from . import correspond as co
 from . import quantum as qu
 from .classical import Dist, FuzzyPred, Space, StochChannel
 from .errors import (
+    DimensionError,
     SingularMarginalError,
     SupportError,
     ZeroValidityError,
@@ -161,12 +163,27 @@ class TrialReport:
             "trial_errors": self.trial_errors,
         }
 
+    @classmethod
+    def from_json(cls, d: dict) -> "TrialReport":
+        return cls(
+            d["suite"],
+            d["seed"],
+            d["trials"],
+            [
+                EquationResult(eq["name"], eq["max_dev"], eq["tol"], eq["pass"])
+                for eq in d["equations"]
+            ],
+            d.get("witnesses", []),
+            d.get("trial_errors", 0),
+        )
+
 
 class _Tracker:
     def __init__(self):
         self._names: list[str] = []
         self._dev: dict[str, float] = {}
         self._tol: dict[str, float] = {}
+        self._seen: dict[str, int] = {}
         self.witnesses: list[dict] = []
         self.errors = 0
 
@@ -174,9 +191,14 @@ class _Tracker:
         self._names.append(name)
         self._dev[name] = 0.0
         self._tol[name] = tol
+        self._seen[name] = 0
 
     def see(self, name: str, dev: float) -> None:
-        self._dev[name] = max(self._dev[name], float(dev))
+        dev = float(dev)
+        # a NaN sticks: nothing compares above it, and it fails the report
+        if dev > self._dev[name] or dev != dev:
+            self._dev[name] = dev
+        self._seen[name] += 1
 
     def witness(self, claim: str, deviation: float, inputs: dict) -> None:
         self.witnesses.append(
@@ -190,7 +212,10 @@ class _Tracker:
         for name in self._names:
             tol = self._tol[name] if tol_override is None else float(tol_override)
             dev = self._dev[name]
-            eqs.append(EquationResult(name, dev, tol, dev < tol))
+            # fails closed: an equation no trial evaluated does not pass,
+            # and a NaN or infinite deviation is never below tol
+            passed = self._seen[name] > 0 and dev < tol
+            eqs.append(EquationResult(name, dev, tol, passed))
         return TrialReport(
             suite, int(seed), int(trials), eqs, self.witnesses, self.errors
         )
@@ -340,9 +365,14 @@ def _suite_quantum_bayes(seed, trials, dims, t: _Tracker) -> None:
             t.errors += 1
 
 
+def _bipartite(dims) -> tuple[int, int]:
+    """The (n, m) a bipartite suite reads from its dimension list."""
+    return dims[0], dims[1 % len(dims)]
+
+
 def _suite_quantum_duality(seed, trials, dims, t: _Tracker) -> None:
     t.declare("validity-duality", QUANTUM_TOL)
-    n, m = dims[0], dims[1 % len(dims)]
+    n, m = _bipartite(dims)
     for i in range(trials):
         rng = trial_rng(seed, i)
         sigma = random_qstate((n,), rng)
@@ -360,7 +390,7 @@ def _suite_pair_extract(seed, trials, dims, t: _Tracker) -> None:
     t.declare("pair-of-project-extract", RECOVERY_TOL)
     t.declare("second-marginal-via-push", RECOVERY_TOL)
     t.declare("pairing-two-path", QUANTUM_TOL)
-    n, m = dims[0], dims[1 % len(dims)]
+    n, m = _bipartite(dims)
     for i in range(trials):
         rng = trial_rng(seed, i)
         sigma = random_qstate((n,), rng)
@@ -392,7 +422,7 @@ def _suite_pair_extract(seed, trials, dims, t: _Tracker) -> None:
 def _suite_inference(seed, trials, dims, t: _Tracker) -> None:
     t.declare("forward-inference", INFERENCE_TOL)
     t.declare("backward-inference", INFERENCE_TOL)
-    n, m = dims[0], dims[1 % len(dims)]
+    n, m = _bipartite(dims)
     for i in range(trials):
         rng = trial_rng(seed, i)
         tau = random_qstate((n, m), rng)
@@ -575,6 +605,9 @@ SUITES = {
     "witnesses": _suite_witnesses,
     "embedding": _suite_embedding,
 }
+# Suites that draw channels n -> m with random_qchannel, which needs
+# m * m >= n for its Kraus stack to admit an isometry.
+_CHANNEL_SUITES = frozenset({"quantum-duality", "pair-extract"})
 
 
 def run_suite(
@@ -589,6 +622,8 @@ def run_suite(
     dims is a list of flat dimensions: bipartite suites read (n, m) from
     its first two entries, single-system suites cycle through it per
     trial. A tol override replaces every equation's default tolerance.
+    Dimensions a suite cannot use raise DimensionError before any trial
+    runs.
     """
     if suite not in SUITES:
         raise ValueError(
@@ -597,6 +632,12 @@ def run_suite(
     if int(trials) < 1:
         raise ValueError("trials must be >= 1")
     dims = check_dims(dims)
+    n, m = _bipartite(dims)
+    if suite in _CHANNEL_SUITES and m * m < n:
+        raise DimensionError(
+            f"suite {suite} draws channels from dimension {n} to {m}, "
+            f"which needs {m}*{m} >= {n}"
+        )
     tracker = _Tracker()
     SUITES[suite](int(seed) & U64, int(trials), dims, tracker)
     return tracker.report(suite, trials, seed, tol)

@@ -98,6 +98,14 @@ class TestVerifyCommand:
         for eq in report["equations"]:
             assert f"{eq['name']:<28} max_dev={eq['max_dev']:.6e}" in text
 
+    @pytest.mark.parametrize("suite", ["quantum-duality", "pair-extract"])
+    @pytest.mark.parametrize("dims", ["5,2", "4,1"])
+    def test_unusable_dims_are_a_usage_error(self, capsys, suite, dims):
+        code, out, err = _run(capsys, "verify", "--suite", suite, "--dims", dims)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("verify: ")
+
     def test_tiny_tol_fails_and_names_the_equation(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -168,6 +176,7 @@ class TestInspectCommand:
         code, out, _ = _run(capsys, "inspect", "--file", str(f))
         assert code == 0
         assert "suite=inference" in out
+        assert out == "kind: report\n" + cli.format_report(report) + "\n"
 
     def test_json_round_trips_the_object(self, tmp_path, capsys):
         d = Dist(Space(["t", "f"]), [0.3, 0.7])

@@ -12,19 +12,6 @@ def _rand_complex(rng, rows, cols):
 
 
 class TestBasicOps:
-    def test_adjoint_hand_value(self):
-        a = np.array([[0, 1j], [0, 0]])
-        np.testing.assert_array_equal(linalg.adjoint(a), [[0, 0], [-1j, 0]])
-
-    def test_hs_inner_matches_elementwise_sum(self):
-        rng = np.random.default_rng(42)
-        a = _rand_complex(rng, 4, 4)
-        b = _rand_complex(rng, 4, 4)
-        oracle = sum(
-            np.conj(a[i, j]) * b[i, j] for i in range(4) for j in range(4)
-        )
-        assert abs(linalg.hs_inner(a, b) - oracle) < 1e-12
-
     def test_trace_of_product_is_cyclic(self):
         rng = np.random.default_rng(0)
         a = _rand_complex(rng, 5, 5)
@@ -36,41 +23,9 @@ class TestBasicOps:
         assert linalg.fro_norm(a) == pytest.approx(5.0)
         assert linalg.op_norm(a) == pytest.approx(4.0)
 
-    def test_hs_inner_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.hs_inner(np.eye(2), np.eye(3))
-
     def test_as_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             linalg.as_matrix([[np.inf, 0], [0, 0]])
-
-
-class TestKron:
-    def test_matches_entrywise_definition(self):
-        rng = np.random.default_rng(7)
-        a = _rand_complex(rng, 2, 2)
-        b = _rand_complex(rng, 3, 3)
-        got = linalg.kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        assert got[3 * i + k, 3 * j + l] == pytest.approx(
-                            a[i, j] * b[k, l], abs=1e-15
-                        )
-
-    def test_associative(self):
-        rng = np.random.default_rng(8)
-        a, b, c = (_rand_complex(rng, 2, 2) for _ in range(3))
-        lhs = linalg.kron(linalg.kron(a, b), c)
-        rhs = linalg.kron(a, linalg.kron(b, c))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(9)
-        a = _rand_complex(rng, 3, 3)
-        b = _rand_complex(rng, 4, 4)
-        assert abs(np.trace(linalg.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
 
 class TestPsdSqrt:

@@ -114,6 +114,12 @@ class TestChannelValidation:
         with pytest.raises(NotPositiveError):
             QChannel(blocks, (2,), (1,))
 
+    def test_rejects_nonfinite_blocks(self):
+        blocks = QChannel.identity((2,)).blocks.copy()
+        blocks[1, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            QChannel(blocks, (2,), (2,))
+
     def test_subunital_detected(self):
         half = QChannel.from_kraus([np.eye(2) / np.sqrt(2)], (2,), (2,))
         assert not half.unital
@@ -368,14 +374,31 @@ class TestCupCap:
         np.testing.assert_allclose(qu.cup(2).mat, np.outer(v, v) / 2, atol=1e-15)
         assert np.trace(qu.cup(2).mat) == pytest.approx(1.0)
 
-    def test_cap_is_idempotent(self):
-        c = qu.cap(3).mat
+    def test_cup_is_idempotent(self):
+        c = qu.cup(3).mat
         np.testing.assert_allclose(c @ c, c, atol=1e-12)
 
     def test_cup_marginals_are_maximally_mixed(self):
         for mask in ([1, 0], [0, 1]):
             got = qu.cup(3).marginal(mask)
             np.testing.assert_allclose(got.mat, np.eye(3) / 3, atol=1e-12)
+
+
+class TestTensor:
+    def test_matches_entrywise_definition(self):
+        """Row-major layout: (a (x) b)[3i + k, 3j + l] = a[i, j] b[k, l]."""
+        rng = np.random.default_rng(7)
+        a = _random_state(rng, 2)
+        b = _random_state(rng, 3)
+        got = a.tensor(b)
+        assert got.dims == (2, 3)
+        for i in range(2):
+            for j in range(2):
+                for k in range(3):
+                    for l in range(3):
+                        assert got.mat[3 * i + k, 3 * j + l] == pytest.approx(
+                            a.mat[i, j] * b.mat[k, l], abs=1e-15
+                        )
 
 
 class TestMarginals:

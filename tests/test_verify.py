@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from qbayes import verify
+from qbayes import cli, verify
+from qbayes import correspond as co
+from qbayes.errors import DimensionError, SingularMarginalError
 from qbayes.quantum import Effect
 
 
@@ -86,6 +88,50 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             verify.run_suite("classical-bayes", trials=0)
 
+    @pytest.mark.parametrize("suite", ["quantum-duality", "pair-extract"])
+    @pytest.mark.parametrize("dims", [(5, 2), (2, 1), (4, 1)])
+    def test_channel_suites_refuse_unusable_dims(self, suite, dims):
+        with pytest.raises(DimensionError, match="needs"):
+            verify.run_suite(suite, trials=1, dims=dims)
+
+    def test_channel_suites_accept_the_square_bound(self):
+        report = verify.run_suite("quantum-duality", trials=2, dims=(4, 2))
+        assert report.all_pass
+
+
+class TestFailsClosed:
+    def test_nan_deviation_fails(self):
+        t = verify._Tracker()
+        t.declare("x", 1e-9)
+        t.see("x", 1e-12)
+        t.see("x", float("nan"))
+        t.see("x", 1e-12)
+        (eq,) = t.report("s", 3, 0, None).equations
+        assert np.isnan(eq.max_dev)
+        assert not eq.passed
+
+    def test_unobserved_equation_fails(self):
+        t = verify._Tracker()
+        t.declare("x", 1e-9)
+        t.errors = 5
+        report = t.report("s", 5, 0, None)
+        assert report.equations[0].max_dev == 0.0
+        assert not report.all_pass
+
+    def test_every_trial_raising_fails_the_suite(self, monkeypatch, capsys):
+        def singular(tau):
+            raise SingularMarginalError("forced")
+
+        monkeypatch.setattr(co, "extract", singular)
+        report = verify.run_suite("inference", trials=4, seed=1, dims=(2, 2))
+        assert report.trial_errors == 4
+        assert not any(eq.passed for eq in report.equations)
+        code = cli.main(
+            ["verify", "--suite", "inference", "--trials", "4", "--dims", "2,2"]
+        )
+        assert code == 1
+        assert "FAIL: forward-inference, backward-inference" in capsys.readouterr().out
+
 
 class TestWitnessSearch:
     def test_qubit_search_finds_the_unit_gap(self):
@@ -123,3 +169,9 @@ class TestReportShape:
         for eq in d["equations"]:
             assert set(eq) == {"name", "max_dev", "tol", "pass"}
         assert d["suite"] == "inference" and d["trials"] == 3
+
+    def test_json_round_trip(self):
+        report = verify.run_suite("witnesses", trials=3, seed=9, dims=(2, 2))
+        again = verify.TrialReport.from_json(json.loads(json.dumps(report.to_json())))
+        assert again.to_json() == report.to_json()
+        assert again.all_pass
