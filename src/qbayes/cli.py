@@ -217,6 +217,11 @@ def _inspect_object(obj: dict) -> tuple[str, object]:
         return "quantum channel", QChannel.from_json(obj)
     if {"rows", "cols", "re", "im"} <= keys:
         if "dims" in keys:
+            if obj.get("kind") == Effect.kind:
+                return "effect", Effect.from_json(obj)
+            if "kind" in keys:
+                return "quantum state", QState.from_json(obj)
+            # untagged legacy file: a state if it validates as one
             try:
                 return "quantum state", QState.from_json(obj)
             except ValueError:

@@ -28,7 +28,15 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import psd_inv_sqrt, psd_sqrt
-from .quantum import Effect, QChannel, QState, asrt, condition_lower, condition_upper, cup
+from .quantum import (
+    Effect,
+    QChannel,
+    QState,
+    _evidence_validity,
+    asrt,
+    condition_upper,
+    cup,
+)
 
 
 def _require_joint(tau: QState) -> tuple[int, int]:
@@ -45,7 +53,8 @@ def pair(sigma: QState, c: QChannel) -> QState:
         raise ValueError("pairing requires a unital channel")
     n, m = sigma.flat, c.out_flat
     root = psd_sqrt(sigma.mat)
-    inner = np.einsum("ip,klpq,qj->klij", root, c.blocks, root)
+    # matmul broadcasts the sandwich over the leading (m, m) block axes
+    inner = root @ c.blocks @ root
     mat = np.conj(np.transpose(inner, (2, 0, 3, 1))).reshape(n * m, n * m)
     return QState(mat, (n, m))
 
@@ -82,7 +91,7 @@ def extract(tau: QState) -> QChannel:
     t4 = tau.mat.reshape(n, m, n, m)
     # w[k, l]_ij = conj(<ik| tau |jl>)
     w = np.conj(np.transpose(t4, (1, 3, 0, 2)))
-    blocks = np.einsum("ab,klbc,cd->klad", inv_root, w, inv_root)
+    blocks = inv_root @ w @ inv_root
     # CP holds by construction: w is a conjugated reindexing of tau^T
     # (PSD), sandwiched by the Hermitian inv_root on both sides.
     return QChannel(blocks, (n,), (m,), check_cp=False)
@@ -95,34 +104,51 @@ def recover(tau: QState) -> tuple[QState, QChannel, QState]:
     return marg, chan, chan.push(marg)
 
 
-def _one_sided(tau: QState, p: Effect, side: int) -> Effect:
+def _require_side(tau: QState, p: Effect, side: int) -> tuple[int, int]:
     n, m = _require_joint(tau)
     want = (n,) if side == 0 else (m,)
     if p.dims != want:
         raise DimensionError(f"effect dims {p.dims}, expected {want}")
-    if side == 0:
-        return Effect(np.kron(p.mat, np.eye(m)), tau.dims)
-    return Effect(np.kron(np.eye(n), p.mat), tau.dims)
+    return n, m
+
+
+# Conditioning on one-sided evidence, one factor at a time: the lower
+# conditioning of tau on p (x) 1 is (R (x) 1) tau (R (x) 1) / v with
+# R = sqrt(p), since sqrt(p (x) 1) = sqrt(p) (x) 1, and its validity is
+# v = tr(tau (p (x) 1)) = tr(M1(tau) p). Neither the nm x nm effect nor
+# its root is ever formed; R acts on one tensor leg by reshape + matmul.
 
 
 def crossover_second(tau: QState, p: Effect) -> QState:
     """Condition the joint on p (x) 1, keep the second component."""
-    return condition_lower(tau, _one_sided(tau, p, 0)).marginal([0, 1])
+    n, m = _require_side(tau, p, 0)
+    v = _evidence_validity(tau.marginal([1, 0]), p)
+    root = psd_sqrt(p.mat)
+    # left factor on row index i of <ik|, right factor on column index j of |jl>
+    left = (root @ tau.mat.reshape(n, m * n * m)).reshape(n * m, n, m)
+    both = (root.T @ left).reshape(n * m, n * m)
+    return QState(both / v, tau.dims).marginal([0, 1])
 
 
 def inference_forward(tau: QState, p: Effect) -> QState:
     """Channel route to the same posterior: extr >> (proj |^ p^T)."""
-    _one_sided(tau, p, 0)
+    _require_side(tau, p, 0)
     return extract(tau).push(condition_upper(project(tau), p.transpose()))
 
 
 def crossover_first(tau: QState, q: Effect) -> QState:
     """Condition the joint on 1 (x) q, keep the first component."""
-    return condition_lower(tau, _one_sided(tau, q, 1)).marginal([1, 0])
+    n, m = _require_side(tau, q, 1)
+    v = _evidence_validity(tau.marginal([0, 1]), q)
+    root = psd_sqrt(q.mat)
+    # left factor on row index k of <ik|, right factor on column index l of |jl>
+    left = (root @ tau.mat.reshape(n, m, n * m)).reshape(n * m * n, m)
+    both = (left @ root).reshape(n * m, n * m)
+    return QState(both / v, tau.dims).marginal([1, 0])
 
 
 def inference_backward(tau: QState, q: Effect) -> QState:
     """Channel route: (proj |^ (extr << q))^T."""
-    _one_sided(tau, q, 1)
+    _require_side(tau, q, 1)
     chan = extract(tau)
     return condition_upper(project(tau), chan.pull(q)).transpose()

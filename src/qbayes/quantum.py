@@ -61,7 +61,12 @@ from .linalg import (
 
 
 class _Operator:
-    """What states and effects share: a square matrix over component dims."""
+    """What states and effects share: a square matrix over component dims.
+
+    Each subclass names its `kind`, which tags the JSON form so that a
+    saved effect with trace 1 is not read back as a state; untagged files
+    are still accepted.
+    """
 
     __slots__ = ("mat", "dims")
 
@@ -78,10 +83,14 @@ class _Operator:
     def to_json(self) -> dict:
         d = matrix_to_json(self.mat)
         d["dims"] = list(self.dims)
+        d["kind"] = self.kind
         return d
 
     @classmethod
     def from_json(cls, d: dict):
+        tag = d.get("kind", cls.kind)
+        if tag != cls.kind:
+            raise ValueError(f"stored kind {tag!r}, expected {cls.kind!r}")
         return cls(matrix_from_json(d), d["dims"])
 
     def __repr__(self) -> str:
@@ -92,6 +101,7 @@ class QState(_Operator):
     """Density matrix with a recorded component structure `dims`."""
 
     __slots__ = ()
+    kind = "state"
 
     def __init__(self, mat, dims):
         self.mat, self.dims, eigs = _checked_operator(mat, dims, "state")
@@ -125,6 +135,7 @@ class Effect(_Operator):
     """Operator p with 0 <= p <= I; the quantum analogue of a fuzzy event."""
 
     __slots__ = ()
+    kind = "effect"
 
     def __init__(self, mat, dims):
         self.mat, self.dims, eigs = _checked_operator(mat, dims, "effect")
@@ -256,11 +267,15 @@ class QChannel:
         return QChannel(blocks, self.in_dims, d.out_dims)
 
     def tensor(self, other: "QChannel") -> "QChannel":
-        # np.kron on the 4-d block arrays is exactly blockwise Kronecker
+        # np.kron on the 4-d block arrays is exactly blockwise Kronecker.
+        # The CP check is skipped: the Choi matrix of self (x) other is a
+        # permutation of Choi(self) (x) Choi(other), PSD whenever both
+        # factors are, and both were checked when they were built.
         return QChannel(
             np.kron(self.blocks, other.blocks),
             self.in_dims + other.in_dims,
             self.out_dims + other.out_dims,
+            check_cp=False,
         )
 
     def to_json(self) -> dict:
@@ -306,6 +321,14 @@ def validity(sigma: QState, p: Effect) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _evidence_validity(sigma: QState, p: Effect) -> float:
+    """validity(sigma, p), refused when it is numerically zero."""
+    v = validity(sigma, p)
+    if v <= ZERO_VALIDITY:
+        raise ZeroValidityError(f"evidence has validity {v:.3e}")
+    return v
+
+
 def orthosupplement(p: Effect) -> Effect:
     """The negation I - p."""
     return Effect(np.eye(p.flat) - p.mat, p.dims)
@@ -324,20 +347,14 @@ def andthen(p: Effect, q: Effect) -> Effect:
 
 def condition_lower(sigma: QState, p: Effect) -> QState:
     """sigma|_p = sqrt(p) sigma sqrt(p) / validity. Product-rule form."""
-    _same_dims(sigma, p)
-    v = validity(sigma, p)
-    if v <= ZERO_VALIDITY:
-        raise ZeroValidityError(f"evidence has validity {v:.3e}")
+    v = _evidence_validity(sigma, p)
     root = psd_sqrt(p.mat)
     return QState(root @ sigma.mat @ root / v, sigma.dims)
 
 
 def condition_upper(sigma: QState, p: Effect) -> QState:
     """sigma|^p = sqrt(sigma) p sqrt(sigma) / validity. Bayes-rule form."""
-    _same_dims(sigma, p)
-    v = validity(sigma, p)
-    if v <= ZERO_VALIDITY:
-        raise ZeroValidityError(f"evidence has validity {v:.3e}")
+    v = _evidence_validity(sigma, p)
     root = psd_sqrt(sigma.mat)
     return QState(root @ p.mat @ root / v, sigma.dims)
 

@@ -9,7 +9,7 @@ import pytest
 
 from qbayes import cli
 from qbayes.classical import Dist, Space, StochChannel
-from qbayes.quantum import QChannel, QState
+from qbayes.quantum import Effect, QChannel, QState
 
 
 def _run(capsys, *argv):
@@ -158,6 +158,46 @@ class TestInspectCommand:
         code, out, _ = _run(capsys, "inspect", "--file", str(f))
         assert code == 0
         assert "kind: quantum state" in out
+
+    def test_trace_one_effect_file(self, tmp_path, capsys):
+        """A saved effect whose trace is 1 is still reported as an effect."""
+        p = Effect([[1, 0], [0, 0]], (2,))
+        f = tmp_path / "effect.json"
+        f.write_text(json.dumps(p.to_json()))
+        code, out, _ = _run(capsys, "inspect", "--file", str(f))
+        assert code == 0
+        assert "kind: effect" in out
+
+    def test_tagged_state_file(self, tmp_path, capsys):
+        s = QState([[1, 0], [0, 0]], (2,))
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(s.to_json()))
+        code, out, _ = _run(capsys, "inspect", "--file", str(f))
+        assert code == 0
+        assert "kind: quantum state" in out
+
+    @pytest.mark.parametrize(
+        "mat, kind",
+        [([[0.5, 0], [0, 0.5]], "quantum state"), ([[0.5, 0], [0, 0]], "effect")],
+    )
+    def test_untagged_legacy_file(self, tmp_path, capsys, mat, kind):
+        d = Effect(mat, (2,)).to_json()
+        del d["kind"]
+        f = tmp_path / "legacy.json"
+        f.write_text(json.dumps(d))
+        code, out, _ = _run(capsys, "inspect", "--file", str(f))
+        assert code == 0
+        assert f"kind: {kind}" in out
+
+    @pytest.mark.parametrize("tag", ["state", "widget"])
+    def test_mismatched_tag_is_usage_error(self, tmp_path, capsys, tag):
+        d = Effect([[0.5, 0], [0, 0]], (2,)).to_json()
+        d["kind"] = tag
+        f = tmp_path / "mislabelled.json"
+        f.write_text(json.dumps(d))
+        code, _, err = _run(capsys, "inspect", "--file", str(f))
+        assert code == 2
+        assert "inspect:" in err
 
     def test_qchannel_file(self, tmp_path, capsys):
         c = QChannel.identity((2,))

@@ -12,7 +12,8 @@ from qbayes import classical as cl
 from qbayes import correspond as co
 from qbayes import quantum as qu
 from qbayes.classical import Dist, FuzzyPred, Space, StochChannel
-from qbayes.errors import DimensionError, SingularMarginalError
+from qbayes.errors import DimensionError, SingularMarginalError, ZeroValidityError
+from qbayes.linalg import psd_sqrt
 from qbayes.quantum import Effect, QChannel, QState
 
 
@@ -220,3 +221,122 @@ class TestInferenceTheorem:
         np.testing.assert_allclose(got.mat, qu.hat_state(want).mat, atol=1e-12)
         got = co.inference_forward(tau, qu.hat_pred(evidence))
         np.testing.assert_allclose(got.mat, qu.hat_state(want).mat, atol=1e-12)
+
+
+def _rank_two_joint(rng, n, m):
+    g = _ginibre(rng, n * m, 2)
+    mat = g @ g.conj().T
+    return QState(mat / np.trace(mat).real, (n, m))
+
+
+def _generic_second(tau, p):
+    """The route the factorwise kernel replaces: condition on p (x) 1 whole."""
+    n, m = tau.dims
+    wide = Effect(np.kron(p.mat, np.eye(m)), tau.dims)
+    return qu.condition_lower(tau, wide).marginal([0, 1])
+
+
+def _generic_first(tau, q):
+    n, m = tau.dims
+    wide = Effect(np.kron(np.eye(n), q.mat), tau.dims)
+    return qu.condition_lower(tau, wide).marginal([1, 0])
+
+
+class TestFactorwiseKernels:
+    """The structured kernels against the generic formulas they replace."""
+
+    @pytest.mark.parametrize("dims", [(3, 4), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("joint", ["full", "rank-2"])
+    @pytest.mark.parametrize("evidence", ["random", "rank-1"])
+    def test_crossovers_match_generic_conditioning(self, dims, joint, evidence):
+        n, m = dims
+        rng = np.random.default_rng(80 + 7 * n + m)
+        if joint == "full":
+            tau = QState(_random_state(rng, n * m).mat, dims)
+        else:
+            tau = _rank_two_joint(rng, n, m)
+        if evidence == "random":
+            p, q = _random_effect(rng, n), _random_effect(rng, m)
+        else:
+            p = Effect(QState.from_vector(_ginibre(rng, n, 1), (n,)).mat, (n,))
+            q = Effect(QState.from_vector(_ginibre(rng, m, 1), (m,)).mat, (m,))
+        np.testing.assert_allclose(
+            co.crossover_second(tau, p).mat, _generic_second(tau, p).mat, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            co.crossover_first(tau, q).mat, _generic_first(tau, q).mat, atol=1e-12
+        )
+
+    def test_zero_evidence_refused_on_both_routes(self):
+        rng = np.random.default_rng(90)
+        tau = QState(_random_state(rng, 12).mat, (3, 4))
+        p, q = Effect(np.zeros((3, 3)), (3,)), Effect(np.zeros((4, 4)), (4,))
+        for route in (co.crossover_second, _generic_second):
+            with pytest.raises(ZeroValidityError):
+                route(tau, p)
+        for route in (co.crossover_first, _generic_first):
+            with pytest.raises(ZeroValidityError):
+                route(tau, q)
+
+    def test_wrong_side_effect_is_a_dimension_error(self):
+        rng = np.random.default_rng(91)
+        tau = QState(_random_state(rng, 12).mat, (3, 4))
+        p, q = _random_effect(rng, 3), _random_effect(rng, 4)
+        for fn in (co.crossover_second, co.inference_forward):
+            with pytest.raises(DimensionError):
+                fn(tau, q)
+        for fn in (co.crossover_first, co.inference_backward):
+            with pytest.raises(DimensionError):
+                fn(tau, p)
+
+    def test_extract_and_pair_match_the_einsum_sandwich(self):
+        n, m = 4, 3
+        rng = np.random.default_rng(92)
+        tau = QState(_random_state(rng, n * m).mat, (n, m))
+        inv_root = np.linalg.inv(psd_sqrt(tau.marginal([1, 0]).mat.T))
+        w = np.conj(np.transpose(tau.mat.reshape(n, m, n, m), (1, 3, 0, 2)))
+        want = np.einsum("ab,klbc,cd->klad", inv_root, w, inv_root)
+        np.testing.assert_allclose(co.extract(tau).blocks, want, atol=1e-12)
+
+        sigma = _random_state(rng, n)
+        c = _random_unital_channel(rng, n, m)
+        root = psd_sqrt(sigma.mat)
+        inner = np.einsum("ip,klpq,qj->klij", root, c.blocks, root)
+        want = np.conj(np.transpose(inner, (2, 0, 3, 1))).reshape(n * m, n * m)
+        np.testing.assert_allclose(co.pair(sigma, c).mat, want, atol=1e-12)
+
+
+class TestNoJointSizedRoot:
+    """The one-sided routes never decompose an nm x nm effect."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        seen = []
+
+        def recording(fn):
+            def wrapped(a, *args, **kwargs):
+                seen.append(np.shape(a)[-1])
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        return seen
+
+    def test_decompositions_by_size(self, sizes):
+        n, m = 6, 5
+        rng = np.random.default_rng(93)
+        tau = QState(_random_state(rng, n * m).mat, (n, m))
+        p, q = _random_effect(rng, n), _random_effect(rng, m)
+        for fn, evidence, most in (
+            (co.crossover_second, p, 1),
+            (co.crossover_first, q, 1),
+            (co.inference_forward, p, 0),
+            (co.inference_backward, q, 0),
+        ):
+            sizes.clear()
+            fn(tau, evidence)
+            assert sizes, f"{fn.__name__} decomposed nothing"
+            # the crossovers' one is the conditioned joint's QState validation
+            assert sizes.count(n * m) <= most, (fn.__name__, sizes)

@@ -342,6 +342,22 @@ class TestChannelTransforms:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("second", ["channel", "subunital-asrt"])
+    def test_tensor_of_cp_channels_is_cp(self, second):
+        """tensor skips the CP check; its Choi matrix is PSD regardless."""
+        rng = np.random.default_rng(54)
+        c = _random_channel(rng, 2, 3)
+        if second == "channel":
+            d = _random_channel(rng, 3, 2)
+        else:
+            d = qu.asrt(_random_effect(rng, 2))
+            assert not d.unital
+        t = c.tensor(d)
+        assert t.unital == d.unital
+        m, n = t.out_flat, t.in_flat
+        choi = np.transpose(t.blocks, (0, 2, 1, 3)).reshape(m * n, m * n)
+        assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -1e-12
+
     def test_push_matches_trace_formula(self):
         """(c >> sigma)[k, l] = tr(c(|l><k|) sigma)"""
         rng = np.random.default_rng(54)
@@ -502,3 +518,21 @@ class TestJsonForms:
         d["unital"] = False
         with pytest.raises(ValueError):
             QChannel.from_json(d)
+
+    def test_kind_tag_is_written_and_checked(self):
+        rng = np.random.default_rng(62)
+        sigma, p = _random_state(rng, 2), _random_effect(rng, 2)
+        assert sigma.to_json()["kind"] == "state"
+        assert p.to_json()["kind"] == "effect"
+        with pytest.raises(ValueError):
+            Effect.from_json(sigma.to_json())
+        with pytest.raises(ValueError):
+            QState.from_json(p.to_json())
+
+    def test_untagged_forms_still_load(self):
+        rng = np.random.default_rng(63)
+        sigma, p = _random_state(rng, 2), _random_effect(rng, 2)
+        for obj, cls in ((sigma, QState), (p, Effect)):
+            d = obj.to_json()
+            del d["kind"]
+            np.testing.assert_array_equal(cls.from_json(d).mat, obj.mat)
