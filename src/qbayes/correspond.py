@@ -35,7 +35,6 @@ from .quantum import (
     _evidence_validity,
     asrt,
     condition_upper,
-    cup,
 )
 
 
@@ -62,26 +61,25 @@ def pair(sigma: QState, c: QChannel) -> QState:
 def pair_via_cup(sigma: QState, c: QChannel) -> QState:
     """Cross-check path: push the unnormalized cup through asrt (x) c.
 
-    asrt of the transposed prior is trace-decreasing, so the normalized
-    cup state would come out scaled by 1/n; pushing n * cup (the
-    unnormalized sum_ij |ii><jj|) restores trace 1 and reproduces the
-    entrywise pairing formula exactly.
+    asrt of the transposed prior is trace-decreasing, so the cup is pushed
+    unnormalized (trace n) to give trace 1, one tensor factor at a time:
+    (A (x) c) >> sum_ij |ii><jj| = sum_ij (A >> |i><j|) (x) (c >> |i><j|),
+    A = asrt(sigma^T), not pair's sqrt(sigma) c sqrt(sigma) sandwich.
     """
     if sigma.flat != c.in_flat:
         raise DimensionError(f"state dim {sigma.flat} vs channel domain {c.in_flat}")
     if not c.unital:
         raise ValueError("pairing requires a unital channel")
-    n = sigma.flat
-    gate = asrt(Effect(sigma.mat.T, (n,))).tensor(c)
-    raw = gate.push_operator(n * cup(n).mat)
-    return QState(raw, (n, c.out_flat))
+    n, m = sigma.flat, c.out_flat
+    gate = asrt(Effect(sigma.mat.T, (n,)))
+    raw = np.einsum("baji,lkji->akbl", gate.blocks, c.blocks)
+    return QState(raw.reshape(n * m, n * m), (n, m))
 
 
 def project(tau: QState) -> QState:
     """The transposed first marginal M1(tau)^T."""
     _require_joint(tau)
-    m1 = tau.marginal([1, 0])
-    return QState(m1.mat.T.copy(), m1.dims)
+    return tau.marginal([1, 0]).transpose()
 
 
 def extract(tau: QState) -> QChannel:
@@ -112,22 +110,19 @@ def _require_side(tau: QState, p: Effect, side: int) -> tuple[int, int]:
     return n, m
 
 
-# Conditioning on one-sided evidence, one factor at a time: the lower
-# conditioning of tau on p (x) 1 is (R (x) 1) tau (R (x) 1) / v with
-# R = sqrt(p), since sqrt(p (x) 1) = sqrt(p) (x) 1, and its validity is
-# v = tr(tau (p (x) 1)) = tr(M1(tau) p). Neither the nm x nm effect nor
-# its root is ever formed; R acts on one tensor leg by reshape + matmul.
+# The crossovers never form the conditioned joint: with R = sqrt(p),
+# R (x) 1 acts only on the factor traced out, so it cycles under the
+# partial trace, tr_1[(R (x) 1) tau (R (x) 1)] = tr_1[(p (x) 1) tau], and
+# v = tr(tau (p (x) 1)) = tr(M1(tau) p). This is lower conditioning only:
+# the upper one's marginal keeps sqrt(tau), the root of the whole joint.
 
 
 def crossover_second(tau: QState, p: Effect) -> QState:
     """Condition the joint on p (x) 1, keep the second component."""
     n, m = _require_side(tau, p, 0)
     v = _evidence_validity(tau.marginal([1, 0]), p)
-    root = psd_sqrt(p.mat)
-    # left factor on row index i of <ik|, right factor on column index j of |jl>
-    left = (root @ tau.mat.reshape(n, m * n * m)).reshape(n * m, n, m)
-    both = (root.T @ left).reshape(n * m, n * m)
-    return QState(both / v, tau.dims).marginal([0, 1])
+    post = np.einsum("ia,akil->kl", p.mat, tau.mat.reshape(n, m, n, m))
+    return QState(post / v, (m,))
 
 
 def inference_forward(tau: QState, p: Effect) -> QState:
@@ -140,11 +135,8 @@ def crossover_first(tau: QState, q: Effect) -> QState:
     """Condition the joint on 1 (x) q, keep the first component."""
     n, m = _require_side(tau, q, 1)
     v = _evidence_validity(tau.marginal([0, 1]), q)
-    root = psd_sqrt(q.mat)
-    # left factor on row index k of <ik|, right factor on column index l of |jl>
-    left = (root @ tau.mat.reshape(n, m, n * m)).reshape(n * m * n, m)
-    both = (left @ root).reshape(n * m, n * m)
-    return QState(both / v, tau.dims).marginal([1, 0])
+    post = np.einsum("kb,ibjk->ij", q.mat, tau.mat.reshape(n, m, n, m))
+    return QState(post / v, (n,))
 
 
 def inference_backward(tau: QState, q: Effect) -> QState:

@@ -312,7 +312,8 @@ def _same_dims(a, b) -> None:
 def validity(sigma: QState, p: Effect) -> float:
     """Born validity sigma |= p = tr(sigma p), clamped to [0, 1]."""
     _same_dims(sigma, p)
-    v = complex(np.trace(sigma.mat @ p.mat))
+    # tr(sigma p) = sum_ij sigma_ij p_ji, without forming the product
+    v = complex(np.sum(sigma.mat * p.mat.T))
     if abs(v.imag) > EIG_CLIP:
         raise ValueError(f"validity has imaginary part {v.imag:.3e}")
     x = v.real

@@ -34,8 +34,10 @@ def _random_effect(rng, n):
 
 
 def _random_unital_channel(rng, n, m):
-    q, _ = np.linalg.qr(_ginibre(rng, m * m, n))
-    kraus = [q[i * m : (i + 1) * m, :] for i in range(m)]
+    # r stacked m x n Kraus operators need r * m >= n orthonormal columns
+    r = max(m, -(-n // m))
+    q, _ = np.linalg.qr(_ginibre(rng, r * m, n))
+    kraus = [q[i * m : (i + 1) * m, :] for i in range(r)]
     return QChannel.from_kraus(kraus, (n,), (m,))
 
 
@@ -83,11 +85,21 @@ class TestPair:
         with pytest.raises(ValueError):
             co.pair(QState.maximally_mixed((2,)), sub)
 
-    def test_agrees_with_cup_route(self):
+    @pytest.mark.parametrize(
+        "dims, rank",
+        [((3, 4), None), ((1, 4), None), ((4, 1), None), ((5, 5), None), ((4, 3), 2)],
+        ids=["3,4", "1,4", "4,1", "5,5", "4,3-rank-2-prior"],
+    )
+    def test_agrees_with_cup_route(self, dims, rank):
         """pair(sigma, c) = (asrt(sigma^T) (x) c) applied to n * cup."""
-        rng = np.random.default_rng(65)
-        sigma = _random_state(rng, 3)
-        c = _random_unital_channel(rng, 3, 4)
+        n, m = dims
+        rng = np.random.default_rng(65 + 7 * n + m)
+        if rank is None:
+            sigma = _random_state(rng, n)
+        else:
+            g = _ginibre(rng, n, rank)
+            sigma = QState(g @ g.conj().T / np.linalg.norm(g) ** 2, (n,))
+        c = _random_unital_channel(rng, n, m)
         a = co.pair(sigma, c)
         b = co.pair_via_cup(sigma, c)
         np.testing.assert_allclose(a.mat, b.mat, atol=1e-12)
@@ -307,7 +319,7 @@ class TestFactorwiseKernels:
 
 
 class TestNoJointSizedRoot:
-    """The one-sided routes never decompose an nm x nm effect."""
+    """The one-sided and cup routes build no joint-sized intermediate."""
 
     @pytest.fixture
     def sizes(self, monkeypatch):
@@ -329,14 +341,27 @@ class TestNoJointSizedRoot:
         rng = np.random.default_rng(93)
         tau = QState(_random_state(rng, n * m).mat, (n, m))
         p, q = _random_effect(rng, n), _random_effect(rng, m)
-        for fn, evidence, most in (
-            (co.crossover_second, p, 1),
-            (co.crossover_first, q, 1),
-            (co.inference_forward, p, 0),
-            (co.inference_backward, q, 0),
+        for fn, evidence in (
+            (co.crossover_second, p),
+            (co.crossover_first, q),
+            (co.inference_forward, p),
+            (co.inference_backward, q),
         ):
             sizes.clear()
             fn(tau, evidence)
             assert sizes, f"{fn.__name__} decomposed nothing"
-            # the crossovers' one is the conditioned joint's QState validation
-            assert sizes.count(n * m) <= most, (fn.__name__, sizes)
+            assert n * m not in sizes, (fn.__name__, sizes)
+
+    def test_cup_route_skips_the_tensor_grid(self, sizes, monkeypatch):
+        def no_tensor(self, other):
+            raise AssertionError("pair_via_cup built a tensor channel")
+
+        monkeypatch.setattr(QChannel, "tensor", no_tensor)
+        n, m = 4, 2
+        rng = np.random.default_rng(94)
+        sigma = _random_state(rng, n)
+        c = _random_unital_channel(rng, n, m)
+        sizes.clear()
+        co.pair_via_cup(sigma, c)
+        # above n only the returned joint's own validation, as in pair
+        assert [s for s in sizes if s > n] == [n * m], sizes
