@@ -19,6 +19,7 @@ All values are immutable; every operation returns a fresh object.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ class Space:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def outcomes(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*self.components))

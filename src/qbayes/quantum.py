@@ -38,6 +38,8 @@ Composite indices flatten row-major, matching numpy's kron.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .classical import Dist, FuzzyPred, StochChannel
@@ -51,6 +53,7 @@ from .linalg import (
     _checked_operator,
     _freeze,
     _require_finite,
+    _spectrum_outside,
     as_matrix,
     check_dims,
     matrix_from_json,
@@ -105,7 +108,7 @@ class QState(_Operator):
 
     def __init__(self, mat, dims):
         self.mat, self.dims, eigs = _checked_operator(mat, dims, "state")
-        if eigs.min() < -EIG_CLIP:
+        if eigs is not None:
             raise NotPositiveError(f"state has eigenvalue {eigs.min():.3e}")
         tr = float(np.trace(self.mat).real)
         if abs(tr - 1.0) > NORM_TOL:
@@ -123,7 +126,7 @@ class QState(_Operator):
     @classmethod
     def maximally_mixed(cls, dims) -> "QState":
         dims = check_dims(dims)
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         return cls(np.eye(n) / n, dims)
 
     def marginal(self, mask) -> "QState":
@@ -138,8 +141,10 @@ class Effect(_Operator):
     kind = "effect"
 
     def __init__(self, mat, dims):
-        self.mat, self.dims, eigs = _checked_operator(mat, dims, "effect")
-        if eigs.min() < -EIG_CLIP or eigs.max() > 1.0 + EIG_CLIP:
+        self.mat, self.dims, eigs = _checked_operator(
+            mat, dims, "effect", high=1.0 + EIG_CLIP
+        )
+        if eigs is not None:
             raise NotPositiveError(
                 f"effect eigenvalues [{eigs.min():.3e}, {eigs.max():.3e}] "
                 "leave [0, 1]"
@@ -148,7 +153,7 @@ class Effect(_Operator):
     @classmethod
     def truth(cls, dims) -> "Effect":
         dims = check_dims(dims)
-        return cls(np.eye(int(np.prod(dims))), dims)
+        return cls(np.eye(math.prod(dims)), dims)
 
 
 class QChannel:
@@ -166,8 +171,8 @@ class QChannel:
         arr = np.asarray(blocks, dtype=np.complex128)
         in_dims = check_dims(in_dims)
         out_dims = check_dims(out_dims)
-        n = int(np.prod(in_dims))
-        m = int(np.prod(out_dims))
+        n = math.prod(in_dims)
+        m = math.prod(out_dims)
         if arr.shape != (m, m, n, n):
             raise DimensionError(
                 f"blocks shape {arr.shape}, expected {(m, m, n, n)}"
@@ -182,15 +187,15 @@ class QChannel:
         if np.max(np.abs(gap)) <= NORM_TOL:
             unital = True
         else:
-            defect = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
-            if defect.max() > NORM_TOL:
+            defect = (gap + gap.conj().T) / 2
+            if _spectrum_outside(defect, high=NORM_TOL) is not None:
                 raise NotPositiveError("block diagonal sums above the identity")
             unital = False
         if check_cp:
             # complete positivity == PSD of the block matrix [c[k, l]]_kl
             choi = np.transpose(arr, (0, 2, 1, 3)).reshape(m * n, m * n)
-            eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-            if eigs.min() < -CP_TOL:
+            eigs = _spectrum_outside((choi + choi.conj().T) / 2, low=-CP_TOL)
+            if eigs is not None:
                 raise NotPositiveError(
                     f"blocks are not completely positive ({eigs.min():.3e})"
                 )
@@ -217,8 +222,8 @@ class QChannel:
         """
         in_dims = check_dims(in_dims)
         out_dims = check_dims(out_dims)
-        n = int(np.prod(in_dims))
-        m = int(np.prod(out_dims))
+        n = math.prod(in_dims)
+        m = math.prod(out_dims)
         ops = [as_matrix(a) for a in kraus]
         if not ops or any(a.shape != (m, n) for a in ops):
             raise DimensionError(f"Kraus operators must all be {m}x{n}")
@@ -229,7 +234,7 @@ class QChannel:
     @classmethod
     def identity(cls, dims) -> "QChannel":
         dims = check_dims(dims)
-        return cls.from_kraus([np.eye(int(np.prod(dims)))], dims, dims)
+        return cls.from_kraus([np.eye(math.prod(dims))], dims, dims)
 
     def pull(self, q: Effect) -> Effect:
         """Predicate transformation c << q = sum_kl q[k, l] c[k, l]."""

@@ -20,6 +20,7 @@ counted in trial_errors rather than aborting the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def random_qstate(dims, rng: np.random.Generator) -> QState:
     """Full-rank random density matrix (normalized Ginibre square)."""
     dims = check_dims(dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     g = _ginibre(n, n, rng)
     rho = g @ g.conj().T
     return QState(rho / np.trace(rho).real, dims)
@@ -77,7 +78,7 @@ def random_qstate(dims, rng: np.random.Generator) -> QState:
 def random_effect(dims, rng: np.random.Generator) -> Effect:
     """Random effect: positive matrix scaled into the unit interval."""
     dims = check_dims(dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     g = _ginibre(n, n, rng)
     pos = g @ g.conj().T
     return Effect(rng.uniform() * pos / op_norm(pos), dims)
@@ -93,8 +94,8 @@ def random_qchannel(in_dims, out_dims, rng: np.random.Generator) -> QChannel:
     """
     in_dims = check_dims(in_dims)
     out_dims = check_dims(out_dims)
-    n = int(np.prod(in_dims))
-    m = int(np.prod(out_dims))
+    n = math.prod(in_dims)
+    m = math.prod(out_dims)
     q, _ = np.linalg.qr(_ginibre(m * m, n, rng))
     kraus = [q[j * m : (j + 1) * m, :] for j in range(m)]
     return QChannel.from_kraus(kraus, in_dims, out_dims)
@@ -621,7 +622,9 @@ def run_suite(
 
     dims is a list of flat dimensions: bipartite suites read (n, m) from
     its first two entries, single-system suites cycle through it per
-    trial. A tol override replaces every equation's default tolerance.
+    trial. A tol override replaces every equation's default tolerance;
+    it must be finite and > 0, since an infinite one would pass any
+    deviation and a zero, negative or NaN one would fail every equation.
     Dimensions a suite cannot use raise DimensionError before any trial
     runs.
     """
@@ -631,6 +634,8 @@ def run_suite(
         )
     if int(trials) < 1:
         raise ValueError("trials must be >= 1")
+    if tol is not None and not 0 < float(tol) < math.inf:
+        raise ValueError(f"tol must be a finite value > 0, got {tol!r}")
     dims = check_dims(dims)
     n, m = _bipartite(dims)
     if suite in _CHANNEL_SUITES and m * m < n:

@@ -46,6 +46,15 @@ class TestParsing:
             cli.main(["verify", "--suite", "inference", "--dims", "3,x"]) == 2
         )
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_unusable_tol_exits_with_usage_error(self, capsys, tol):
+        code, out, err = _run(
+            capsys, "verify", "--suite", "inference", "--trials", "2", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "verify: error: argument --tol" in err
+
     def test_missing_command_exits_with_usage_error(self):
         assert cli.main([]) == 2
 

@@ -334,6 +334,7 @@ class TestNoJointSizedRoot:
 
         monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "cholesky", recording(np.linalg.cholesky))
         return seen
 
     def test_decompositions_by_size(self, sizes):
@@ -363,5 +364,6 @@ class TestNoJointSizedRoot:
         c = _random_unital_channel(rng, n, m)
         sizes.clear()
         co.pair_via_cup(sigma, c)
-        # above n only the returned joint's own validation, as in pair
+        # above n only the returned joint's own validation (a Cholesky of
+        # size nm), as in pair
         assert [s for s in sizes if s > n] == [n * m], sizes

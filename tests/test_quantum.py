@@ -5,6 +5,8 @@ genuinely quantum parts: the two conditioning rules, non-commuting
 evidence, and the diagonal embedding of the classical layer.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qbayes.errors import (
     NotPositiveError,
     ZeroValidityError,
 )
-from qbayes.linalg import psd_sqrt
+from qbayes.linalg import CP_TOL, EIG_CLIP, NORM_TOL, psd_sqrt
 from qbayes.quantum import Effect, QChannel, QState
 
 KET0 = Effect([[1, 0], [0, 0]], (2,))
@@ -124,6 +126,122 @@ class TestChannelValidation:
         half = QChannel.from_kraus([np.eye(2) / np.sqrt(2)], (2,), (2,))
         assert not half.unital
         assert QChannel.identity((2,)).unital
+
+
+# Distances past a range bound, as multiples of its slack: the first two
+# stay inside, the last two leave it.
+BOUNDARY_FACTORS = [0.9, 0.99, 1.01, 1.1]
+
+
+def _with_spectrum(eigs, basis):
+    """Hermitian matrix with the given eigenvalues, diagonal or rotated."""
+    d = np.diag(np.asarray(eigs, dtype=np.complex128))
+    if basis == "diagonal":
+        return d
+    q, _ = np.linalg.qr(_ginibre(np.random.default_rng(len(eigs)), *d.shape))
+    return q @ d @ q.conj().T
+
+
+def _outcome(make, message):
+    """None when make() is accepted, else the NotPositiveError text."""
+    if message is None:
+        make()
+        return None
+    with pytest.raises(NotPositiveError, match=f"^{re.escape(message)}$"):
+        make()
+    return message
+
+
+@pytest.mark.parametrize("factor", BOUNDARY_FACTORS)
+@pytest.mark.parametrize("basis", ["diagonal", "rotated"])
+@pytest.mark.parametrize("n", [2, 6])
+class TestRangeBoundaries:
+    """Accept or reject, and the message, right around each slack."""
+
+    def test_state_lower_bound(self, n, basis, factor):
+        low = -factor * EIG_CLIP
+        mat = _with_spectrum([low] + [(1 - low) / (n - 1)] * (n - 1), basis)
+        message = f"state has eigenvalue {low:.3e}" if factor > 1 else None
+        _outcome(lambda: QState(mat, (n,)), message)
+        if message is None:
+            np.testing.assert_array_equal(QState(mat, (n,)).mat, mat)
+
+    def test_effect_lower_bound(self, n, basis, factor):
+        low = -factor * EIG_CLIP
+        rest = np.linspace(0.1, 0.5, n - 1)
+        mat = _with_spectrum([low, *rest], basis)
+        message = (
+            f"effect eigenvalues [{low:.3e}, {rest.max():.3e}] leave [0, 1]"
+            if factor > 1
+            else None
+        )
+        _outcome(lambda: Effect(mat, (n,)), message)
+
+    def test_effect_upper_bound(self, n, basis, factor):
+        high = 1 + factor * EIG_CLIP
+        rest = np.linspace(0.1, 0.5, n - 1)
+        mat = _with_spectrum([high, *rest], basis)
+        message = (
+            f"effect eigenvalues [{rest.min():.3e}, {high:.3e}] leave [0, 1]"
+            if factor > 1
+            else None
+        )
+        _outcome(lambda: Effect(mat, (n,)), message)
+
+    def test_choi_lower_bound(self, n, basis, factor):
+        # an n x n Choi matrix of a map from dimension n // 2 to 2; its
+        # positive part has trace 1/2, so the grid is safely sub-unital
+        low = -factor * CP_TOL
+        choi = _with_spectrum([low] + [0.5 / (n - 1)] * (n - 1), basis)
+        blocks = np.transpose(choi.reshape(2, n // 2, 2, n // 2), (0, 2, 1, 3))
+        message = (
+            f"blocks are not completely positive ({low:.3e})"
+            if factor > 1
+            else None
+        )
+        _outcome(lambda: QChannel(blocks, (n // 2,), (2,)), message)
+
+    def test_diagonal_sum_upper_bound(self, n, basis, factor):
+        gap = [factor * NORM_TOL] + [-0.5] * (n - 1)
+        blocks = _with_spectrum(np.add(1.0, gap), basis).reshape(1, 1, n, n)
+        message = (
+            "block diagonal sums above the identity" if factor > 1 else None
+        )
+        if _outcome(lambda: QChannel(blocks, (n,), (1,)), message) is None:
+            assert not QChannel(blocks, (n,), (1,)).unital
+
+
+def test_spectrum_exactly_on_a_bound_is_accepted():
+    # the shifted matrix is singular, so its Cholesky fails and the
+    # spectrum decides: an eigenvalue equal to the bound is in range
+    QState(np.diag([-EIG_CLIP, 1 + EIG_CLIP]), (2,))
+    Effect(np.diag([-EIG_CLIP, 0.5]), (2,))
+    Effect(np.diag([1 + EIG_CLIP, 0.5]), (2,))
+    QChannel(np.diag([-CP_TOL, 0.5]).reshape(1, 1, 2, 2), (2,), (1,))
+
+
+class TestSuccessPathSkipsTheSpectrum:
+    def test_constructors_in_range_run_no_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(95)
+        n = 32
+        g = _ginibre(rng, n, n)
+        pos = g @ g.conj().T
+        state = pos / np.trace(pos).real
+        effect = 0.9 * pos / np.linalg.norm(pos, 2)
+        stoch = StochChannel(Space(list("abc")), Space(list("xy")), [
+            [0.2, 0.8], [0.5, 0.5], [1.0, 0.0],
+        ])
+        half_root = psd_sqrt(np.eye(n) / 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an in-range constructor ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        QState(state, (n,))
+        Effect(effect, (n,))
+        assert qu.hat_channel(stoch).unital
+        assert not QChannel.from_kraus([half_root], (n,), (n,)).unital
 
 
 class TestValidity:

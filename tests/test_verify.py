@@ -76,6 +76,11 @@ class TestRunSuite:
         for eq in report.equations:
             assert eq.tol == 1e-300
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_unusable_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite value > 0"):
+            verify.run_suite("classical-bayes", trials=2, tol=tol)
+
     def test_single_dim_is_cycled(self):
         report = verify.run_suite("quantum-bayes", trials=4, seed=3, dims=(2,))
         assert report.all_pass
