@@ -1,11 +1,13 @@
 """Seeded randomized verification of the library's equational laws.
 
-Each suite draws random instances (states, predicates, channels, joints),
-evaluates both sides of every law it owns, and tracks the maximum
-deviation per equation. Determinism: trial i of a run seeded with s uses
-an RNG derived from (s, i) and the report is assembled with max
-reductions only, so results do not depend on evaluation order and repeat
-byte-for-byte across runs.
+Each suite is a declaration: its equations and their tolerances, the
+per-trial errors it tolerates, the witness searches it runs, and a trial
+that draws random instances (states, predicates, channels, joints) and
+yields the deviation of each law as it evaluates it. One driver runs
+every suite and tracks the maximum deviation per equation. Determinism:
+trial i of a run seeded with s uses an RNG derived from (s, i) and the
+report is assembled with max reductions only, so results do not depend
+on evaluation order and repeat byte-for-byte across runs.
 
 Inequality claims (the non-commutation, non-reduction, and eta-law
 witnesses) are reported as shortfall equations: the deviation recorded is
@@ -15,12 +17,14 @@ witnesses list. The rule fails closed: a NaN deviation, or an equation
 that no trial evaluated, is a FAIL.
 
 Per-trial failures such as a singular marginal on a degenerate draw are
-counted in trial_errors rather than aborting the run.
+counted in trial_errors rather than aborting the run; the equations a
+trial evaluated before it raised still count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,191 +183,160 @@ class TrialReport:
         )
 
 
-class _Tracker:
-    def __init__(self):
-        self._names: list[str] = []
-        self._dev: dict[str, float] = {}
-        self._tol: dict[str, float] = {}
-        self._seen: dict[str, int] = {}
-        self.witnesses: list[dict] = []
-        self.errors = 0
-
-    def declare(self, name: str, tol: float) -> None:
-        self._names.append(name)
-        self._dev[name] = 0.0
-        self._tol[name] = tol
-        self._seen[name] = 0
-
-    def see(self, name: str, dev: float) -> None:
-        dev = float(dev)
-        # a NaN sticks: nothing compares above it, and it fails the report
-        if dev > self._dev[name] or dev != dev:
-            self._dev[name] = dev
-        self._seen[name] += 1
-
-    def witness(self, claim: str, deviation: float, inputs: dict) -> None:
-        self.witnesses.append(
-            {"claim": claim, "deviation": float(deviation), "inputs": inputs}
-        )
-
-    def report(
-        self, suite: str, trials: int, seed: int, tol_override: float | None
-    ) -> TrialReport:
-        eqs = []
-        for name in self._names:
-            tol = self._tol[name] if tol_override is None else float(tol_override)
-            dev = self._dev[name]
-            # fails closed: an equation no trial evaluated does not pass,
-            # and a NaN or infinite deviation is never below tol
-            passed = self._seen[name] > 0 and dev < tol
-            eqs.append(EquationResult(name, dev, tol, passed))
-        return TrialReport(
-            suite, int(seed), int(trials), eqs, self.witnesses, self.errors
-        )
-
-
 # ---------------------------------------------------------------------------
-# suites
+# suites: each is a declaration, and _drive is the one loop that runs them
 
 
-def _suite_classical_bayes(seed, trials, dims, t: _Tracker) -> None:
-    for name in (
-        "product-rule",
-        "bayes-rule",
-        "successive-conditioning",
-        "commuting-conditioning",
-        "validity-duality",
-        "inference-forward",
-        "inference-backward",
-    ):
-        t.declare(name, CLASSICAL_TOL)
+@dataclass(frozen=True)
+class _Suite:
+    """One verification suite, as data for _drive.
+
+    equations: the ordered {equation: tol} table of the report.
+    tolerated: per-trial error types, counted in trial_errors.
+    trial: trial(rng, dims, i) draws trial i's instance from rng and
+        yields (equation, deviation) as it evaluates each law, and
+        (claim, deviation, inputs) for a search candidate, inputs being
+        {key: value with to_json}.
+    searches: {claim: shortfall equation}.
+    refuse: refuse(dims) says why the suite cannot use dims, or None.
+    """
+
+    equations: dict[str, float]
+    tolerated: tuple[type[Exception], ...]
+    trial: Callable[[np.random.Generator, tuple[int, ...], int], Iterator[tuple]]
+    searches: dict[str, str] = field(default_factory=dict)
+    refuse: Callable[[tuple[int, ...]], str | None] | None = None
+
+
+def _drive(
+    name: str,
+    suite: _Suite,
+    seed: int,
+    trials: int,
+    dims: tuple[int, ...],
+    tol: float | None,
+) -> TrialReport:
+    """Run trials 0..trials-1 of suite and reduce what they yield to a report.
+
+    What a trial yielded before it raised one of suite.tolerated still
+    counts. A search keeps its strictly largest candidate, and only that
+    candidate's inputs are serialized.
+    """
+    dev = dict.fromkeys(suite.equations, 0.0)
+    seen = set()
+    best = dict.fromkeys(suite.searches, (0.0, None))
+    errors = 0
     for i in range(trials):
-        rng = trial_rng(seed, i)
-        xs = labeled_space("x", int(rng.integers(4, 7)))
-        ys = labeled_space("y", int(rng.integers(4, 7)))
-        omega = random_dist(xs, rng)
-        p = random_fuzzy_pred(xs, rng)
-        q = random_fuzzy_pred(xs, rng)
-        c = random_stoch_channel(xs, ys, rng)
-        qy = random_fuzzy_pred(ys, rng)
-        tau = random_dist(xs.tensor(ys), rng)
         try:
-            v_p = cl.validity(omega, p)
-            v_q = cl.validity(omega, q)
-            w_p = cl.condition(omega, p)
-            w_q = cl.condition(omega, q)
-            t.see(
-                "product-rule",
-                abs(
-                    cl.validity(w_p, q) * v_p
-                    - cl.validity(omega, cl.conjunction(p, q))
-                ),
+            for item in suite.trial(trial_rng(seed, i), dims, i):
+                if len(item) == 3:
+                    claim, d, inputs = item
+                    if d > best[claim][0]:
+                        best[claim] = (d, inputs)
+                else:
+                    eq, d = item
+                    d = float(d)
+                    # a NaN sticks: nothing compares above it, and it fails
+                    if d > dev[eq] or d != d:
+                        dev[eq] = d
+                    seen.add(eq)
+        except suite.tolerated:
+            errors += 1
+    witnesses = []
+    for claim, eq in suite.searches.items():
+        found, inputs = best[claim]
+        dev[eq] = float(max(0.0, WITNESS_THRESHOLD - found))
+        seen.add(eq)
+        if inputs is not None:
+            witnesses.append(
+                {
+                    "claim": claim,
+                    "deviation": float(found),
+                    "inputs": {key: val.to_json() for key, val in inputs.items()},
+                }
             )
-            t.see(
-                "bayes-rule",
-                abs(cl.validity(w_p, q) * v_p - cl.validity(w_q, p) * v_q),
-            )
-            t.see(
-                "successive-conditioning",
-                np.max(
-                    np.abs(
-                        cl.condition(w_p, q).probs
-                        - cl.condition(omega, cl.conjunction(p, q)).probs
-                    )
-                ),
-            )
-            t.see(
-                "commuting-conditioning",
-                np.max(
-                    np.abs(cl.condition(w_p, q).probs - cl.condition(w_q, p).probs)
-                ),
-            )
-            t.see(
-                "validity-duality",
-                abs(cl.validity(c.push(omega), qy) - cl.validity(omega, c.pull(qy))),
-            )
-            lhs = cl.condition(tau, p.tensor(FuzzyPred.truth(ys))).marginal([0, 1])
-            rhs = cl.extract(tau).push(cl.condition(tau.marginal([1, 0]), p))
-            t.see("inference-forward", np.max(np.abs(lhs.probs - rhs.probs)))
-            lhs = cl.condition(tau, FuzzyPred.truth(xs).tensor(qy)).marginal([1, 0])
-            rhs = cl.condition(tau.marginal([1, 0]), cl.extract(tau).pull(qy))
-            t.see("inference-backward", np.max(np.abs(lhs.probs - rhs.probs)))
-        except (ZeroValidityError, SupportError):
-            t.errors += 1
+    eqs = []
+    for eq, default in suite.equations.items():
+        eq_tol = default if tol is None else float(tol)
+        # fails closed: an equation no trial evaluated does not pass,
+        # and a NaN or infinite deviation is never below tol
+        passed = eq in seen and dev[eq] < eq_tol
+        eqs.append(EquationResult(eq, dev[eq], eq_tol, passed))
+    return TrialReport(name, int(seed), trials, eqs, witnesses, errors)
 
 
-def _suite_semiexp(seed, trials, dims, t: _Tracker) -> None:
-    t.declare("beta-law", CLASSICAL_TOL)
-    t.declare("naturality", CLASSICAL_TOL)
-    t.declare("eta-violation-shortfall", SHORTFALL_TOL)
-    best = 0.0
-    best_tau = None
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        zs = labeled_space("z", int(rng.integers(2, 5)))
-        xs = labeled_space("x", int(rng.integers(2, 5)))
-        ys = labeled_space("y", int(rng.integers(2, 5)))
-        f = random_stoch_channel(zs.tensor(xs), ys, rng)
-        lam = cl.abstract(f)
-        dev = 0.0
-        for z in zs.components[0]:
-            for x in xs.components[0]:
-                dev = max(
-                    dev,
-                    float(
-                        np.max(np.abs(cl.ev(lam[z], x).probs - f.row((z, x)).probs))
-                    ),
-                )
-        t.see("beta-law", dev)
-        ws = labeled_space("w", 2)
-        g = random_stoch_channel(ws, zs, rng)
-        lam_g = cl.abstract(g.tensor(StochChannel.identity(xs)).then(f))
-        for w in ws.components[0]:
-            mixed = cl.mixture(
-                g.row((w,)).probs, [lam[z] for z in zs.components[0]]
-            )
-            t.see("naturality", np.max(np.abs(lam_g[w].probs - mixed.probs)))
-        tau = random_dist(xs.tensor(ys), rng)
-        try:
-            back = cl.pair(Dist.uniform(xs), cl.extract(tau))
-            d = float(np.max(np.abs(back.probs - tau.probs)))
-            if d > best:
-                best, best_tau = d, tau
-        except SupportError:
-            t.errors += 1
-    t.see("eta-violation-shortfall", max(0.0, WITNESS_THRESHOLD - best))
-    if best_tau is not None:
-        t.witness("eta-law-violation", best, {"joint": best_tau.to_json()})
+def _classical_bayes(rng, dims, i):
+    xs = labeled_space("x", int(rng.integers(4, 7)))
+    ys = labeled_space("y", int(rng.integers(4, 7)))
+    omega = random_dist(xs, rng)
+    p = random_fuzzy_pred(xs, rng)
+    q = random_fuzzy_pred(xs, rng)
+    c = random_stoch_channel(xs, ys, rng)
+    qy = random_fuzzy_pred(ys, rng)
+    tau = random_dist(xs.tensor(ys), rng)
+    v_p = cl.validity(omega, p)
+    v_q = cl.validity(omega, q)
+    w_p = cl.condition(omega, p)
+    w_q = cl.condition(omega, q)
+    yield "product-rule", abs(
+        cl.validity(w_p, q) * v_p - cl.validity(omega, cl.conjunction(p, q))
+    )
+    yield "bayes-rule", abs(cl.validity(w_p, q) * v_p - cl.validity(w_q, p) * v_q)
+    yield "successive-conditioning", np.max(
+        np.abs(
+            cl.condition(w_p, q).probs - cl.condition(omega, cl.conjunction(p, q)).probs
+        )
+    )
+    yield "commuting-conditioning", np.max(
+        np.abs(cl.condition(w_p, q).probs - cl.condition(w_q, p).probs)
+    )
+    yield "validity-duality", abs(
+        cl.validity(c.push(omega), qy) - cl.validity(omega, c.pull(qy))
+    )
+    lhs = cl.condition(tau, p.tensor(FuzzyPred.truth(ys))).marginal([0, 1])
+    rhs = cl.extract(tau).push(cl.condition(tau.marginal([1, 0]), p))
+    yield "inference-forward", np.max(np.abs(lhs.probs - rhs.probs))
+    lhs = cl.condition(tau, FuzzyPred.truth(xs).tensor(qy)).marginal([1, 0])
+    rhs = cl.condition(tau.marginal([1, 0]), cl.extract(tau).pull(qy))
+    yield "inference-backward", np.max(np.abs(lhs.probs - rhs.probs))
 
 
-def _suite_quantum_bayes(seed, trials, dims, t: _Tracker) -> None:
-    t.declare("product-rule-lower", QUANTUM_TOL)
-    t.declare("bayes-rule-upper", QUANTUM_TOL)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        d = (dims[i % len(dims)],)
-        sigma = random_qstate(d, rng)
-        p = random_effect(d, rng)
-        q = random_effect(d, rng)
-        try:
-            v_p = qu.validity(sigma, p)
-            v_q = qu.validity(sigma, q)
-            t.see(
-                "product-rule-lower",
-                abs(
-                    qu.validity(qu.condition_lower(sigma, p), q) * v_p
-                    - qu.validity(sigma, qu.andthen(p, q))
-                ),
-            )
-            t.see(
-                "bayes-rule-upper",
-                abs(
-                    qu.validity(qu.condition_upper(sigma, p), q) * v_p
-                    - qu.validity(qu.condition_upper(sigma, q), p) * v_q
-                ),
-            )
-        except ZeroValidityError:
-            t.errors += 1
+def _semiexp(rng, dims, i):
+    zs = labeled_space("z", int(rng.integers(2, 5)))
+    xs = labeled_space("x", int(rng.integers(2, 5)))
+    ys = labeled_space("y", int(rng.integers(2, 5)))
+    f = random_stoch_channel(zs.tensor(xs), ys, rng)
+    lam = cl.abstract(f)
+    for z in zs.components[0]:
+        for x in xs.components[0]:
+            ev = cl.ev(lam[z], x)
+            yield "beta-law", np.max(np.abs(ev.probs - f.row((z, x)).probs))
+    ws = labeled_space("w", 2)
+    g = random_stoch_channel(ws, zs, rng)
+    lam_g = cl.abstract(g.tensor(StochChannel.identity(xs)).then(f))
+    for w in ws.components[0]:
+        mixed = cl.mixture(g.row((w,)).probs, [lam[z] for z in zs.components[0]])
+        yield "naturality", np.max(np.abs(lam_g[w].probs - mixed.probs))
+    tau = random_dist(xs.tensor(ys), rng)
+    back = cl.pair(Dist.uniform(xs), cl.extract(tau))
+    yield "eta-law-violation", np.max(np.abs(back.probs - tau.probs)), {"joint": tau}
+
+
+def _quantum_bayes(rng, dims, i):
+    d = (dims[i % len(dims)],)
+    sigma = random_qstate(d, rng)
+    p = random_effect(d, rng)
+    q = random_effect(d, rng)
+    v_p = qu.validity(sigma, p)
+    v_q = qu.validity(sigma, q)
+    yield "product-rule-lower", abs(
+        qu.validity(qu.condition_lower(sigma, p), q) * v_p
+        - qu.validity(sigma, qu.andthen(p, q))
+    )
+    yield "bayes-rule-upper", abs(
+        qu.validity(qu.condition_upper(sigma, p), q) * v_p
+        - qu.validity(qu.condition_upper(sigma, q), p) * v_q
+    )
 
 
 def _bipartite(dims) -> tuple[int, int]:
@@ -371,79 +344,51 @@ def _bipartite(dims) -> tuple[int, int]:
     return dims[0], dims[1 % len(dims)]
 
 
-def _suite_quantum_duality(seed, trials, dims, t: _Tracker) -> None:
-    t.declare("validity-duality", QUANTUM_TOL)
+def _channel_dims(dims) -> str | None:
+    # random_qchannel's Kraus stack admits an isometry only when m * m >= n
     n, m = _bipartite(dims)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        sigma = random_qstate((n,), rng)
-        c = random_qchannel((n,), (m,), rng)
-        q = random_effect((m,), rng)
-        t.see(
-            "validity-duality",
-            abs(qu.validity(c.push(sigma), q) - qu.validity(sigma, c.pull(q))),
-        )
+    if m * m < n:
+        return f"draws channels from dimension {n} to {m}, which needs {m}*{m} >= {n}"
+    return None
 
 
-def _suite_pair_extract(seed, trials, dims, t: _Tracker) -> None:
-    t.declare("project-of-pair", RECOVERY_TOL)
-    t.declare("extract-of-pair", RECOVERY_TOL)
-    t.declare("pair-of-project-extract", RECOVERY_TOL)
-    t.declare("second-marginal-via-push", RECOVERY_TOL)
-    t.declare("pairing-two-path", QUANTUM_TOL)
+def _quantum_duality(rng, dims, i):
     n, m = _bipartite(dims)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        sigma = random_qstate((n,), rng)
-        c = random_qchannel((n,), (m,), rng)
-        tau = co.pair(sigma, c)
-        t.see("project-of-pair", fro_norm(co.project(tau).mat - sigma.mat))
-        t.see(
-            "extract-of-pair",
-            float(np.linalg.norm(co.extract(tau).blocks - c.blocks)),
-        )
-        t.see(
-            "pairing-two-path", fro_norm(co.pair_via_cup(sigma, c).mat - tau.mat)
-        )
-        other = random_qstate((n, m), rng)
-        try:
-            marg, chan, second = co.recover(other)
-            t.see(
-                "pair-of-project-extract",
-                fro_norm(co.pair(marg, chan).mat - other.mat),
-            )
-            t.see(
-                "second-marginal-via-push",
-                fro_norm(second.mat - other.marginal([0, 1]).mat),
-            )
-        except SingularMarginalError:
-            t.errors += 1
+    sigma = random_qstate((n,), rng)
+    c = random_qchannel((n,), (m,), rng)
+    q = random_effect((m,), rng)
+    yield "validity-duality", abs(
+        qu.validity(c.push(sigma), q) - qu.validity(sigma, c.pull(q))
+    )
 
 
-def _suite_inference(seed, trials, dims, t: _Tracker) -> None:
-    t.declare("forward-inference", INFERENCE_TOL)
-    t.declare("backward-inference", INFERENCE_TOL)
+def _pair_extract(rng, dims, i):
     n, m = _bipartite(dims)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        tau = random_qstate((n, m), rng)
-        p = random_effect((n,), rng)
-        q = random_effect((m,), rng)
-        try:
-            t.see(
-                "forward-inference",
-                fro_norm(
-                    co.crossover_second(tau, p).mat - co.inference_forward(tau, p).mat
-                ),
-            )
-            t.see(
-                "backward-inference",
-                fro_norm(
-                    co.crossover_first(tau, q).mat - co.inference_backward(tau, q).mat
-                ),
-            )
-        except (SingularMarginalError, ZeroValidityError):
-            t.errors += 1
+    sigma = random_qstate((n,), rng)
+    c = random_qchannel((n,), (m,), rng)
+    tau = co.pair(sigma, c)
+    yield "project-of-pair", fro_norm(co.project(tau).mat - sigma.mat)
+    yield "extract-of-pair", np.linalg.norm(co.extract(tau).blocks - c.blocks)
+    yield "pairing-two-path", fro_norm(co.pair_via_cup(sigma, c).mat - tau.mat)
+    other = random_qstate((n, m), rng)
+    marg, chan, second = co.recover(other)
+    yield "pair-of-project-extract", fro_norm(co.pair(marg, chan).mat - other.mat)
+    yield "second-marginal-via-push", fro_norm(
+        second.mat - other.marginal([0, 1]).mat
+    )
+
+
+def _inference(rng, dims, i):
+    n, m = _bipartite(dims)
+    tau = random_qstate((n, m), rng)
+    p = random_effect((n,), rng)
+    q = random_effect((m,), rng)
+    yield "forward-inference", fro_norm(
+        co.crossover_second(tau, p).mat - co.inference_forward(tau, p).mat
+    )
+    yield "backward-inference", fro_norm(
+        co.crossover_first(tau, q).mat - co.inference_backward(tau, q).mat
+    )
 
 
 def fixed_witness() -> tuple[QState, Effect, Effect]:
@@ -454,161 +399,179 @@ def fixed_witness() -> tuple[QState, Effect, Effect]:
     return sigma, p, q
 
 
-def _witness_devs(sigma: QState, p: Effect, q: Effect) -> tuple[float, float]:
+def _witness_candidates(sigma: QState, p: Effect, q: Effect) -> list[tuple]:
+    """Both search candidates of one instance, each deviation computed first."""
     pq = qu.condition_lower(qu.condition_lower(sigma, p), q)
     qp = qu.condition_lower(qu.condition_lower(sigma, q), p)
     merged = qu.condition_lower(sigma, qu.andthen(p, q))
-    return fro_norm(pq.mat - qp.mat), fro_norm(pq.mat - merged.mat)
+    inputs = {"state": sigma, "pred_p": p, "pred_q": q}
+    return [
+        ("noncommute", fro_norm(pq.mat - qp.mat), inputs),
+        ("nonreduce", fro_norm(pq.mat - merged.mat), inputs),
+    ]
 
 
-def _suite_witnesses(seed, trials, dims, t: _Tracker) -> None:
-    t.declare("noncommute-fixed-witness", FIXED_WITNESS_TOL)
-    t.declare("nonreduce-fixed-witness", FIXED_WITNESS_TOL)
-    t.declare("noncommute-search-shortfall", SHORTFALL_TOL)
-    t.declare("nonreduce-search-shortfall", SHORTFALL_TOL)
-    sigma0, p0, q0 = fixed_witness()
-    fix_nc, fix_nr = _witness_devs(sigma0, p0, q0)
-    # both orders collapse to pure states a unit Frobenius distance apart
-    t.see("noncommute-fixed-witness", abs(fix_nc - 1.0))
-    t.see("nonreduce-fixed-witness", abs(fix_nr - 1.0))
+def _witness_dims(dims) -> str | None:
+    if dims[0] < 2:
+        return (
+            f"searches dimension {dims[0]}, where all effects commute; "
+            "it needs dims[0] >= 2"
+        )
+    return None
+
+
+def _witnesses(rng, dims, i):
+    if i == 0:
+        fixed = _witness_candidates(*fixed_witness())
+        # both orders collapse to pure states a unit Frobenius distance apart
+        for claim, dev, _ in fixed:
+            yield f"{claim}-fixed-witness", abs(dev - 1.0)
+        # the fixed qubit instance seeds the search in its own dimension
+        if dims[0] == 2:
+            yield from fixed
     d = (dims[0],)
-    best_nc, wit_nc = (fix_nc, (sigma0, p0, q0)) if dims[0] == 2 else (0.0, None)
-    best_nr, wit_nr = (fix_nr, (sigma0, p0, q0)) if dims[0] == 2 else (0.0, None)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        sigma = random_qstate(d, rng)
-        p = random_effect(d, rng)
-        q = random_effect(d, rng)
-        try:
-            dev_nc, dev_nr = _witness_devs(sigma, p, q)
-        except ZeroValidityError:
-            t.errors += 1
-            continue
-        if dev_nc > best_nc:
-            best_nc, wit_nc = dev_nc, (sigma, p, q)
-        if dev_nr > best_nr:
-            best_nr, wit_nr = dev_nr, (sigma, p, q)
-    t.see("noncommute-search-shortfall", max(0.0, WITNESS_THRESHOLD - best_nc))
-    t.see("nonreduce-search-shortfall", max(0.0, WITNESS_THRESHOLD - best_nr))
-    for claim, best, wit in (
-        ("noncommute", best_nc, wit_nc),
-        ("nonreduce", best_nr, wit_nr),
-    ):
-        if wit is not None:
-            sigma, p, q = wit
-            t.witness(
-                claim,
-                best,
-                {
-                    "state": sigma.to_json(),
-                    "pred_p": p.to_json(),
-                    "pred_q": q.to_json(),
-                },
-            )
+    sigma = random_qstate(d, rng)
+    p = random_effect(d, rng)
+    q = random_effect(d, rng)
+    yield from _witness_candidates(sigma, p, q)
 
 
-def _suite_embedding(seed, trials, dims, t: _Tracker) -> None:
-    for name in (
-        "embed-validity",
-        "embed-conjunction",
-        "embed-condition-lower",
-        "embed-condition-upper",
-        "embed-state-transform",
-        "embed-pred-transform",
-        "embed-pair",
-        "embed-extract",
-        "embed-inference-forward",
-        "embed-inference-backward",
-    ):
-        t.declare(name, EMBED_TOL)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        xs = labeled_space("x", int(rng.integers(2, 5)))
-        ys = labeled_space("y", int(rng.integers(2, 5)))
-        omega = random_dist(xs, rng)
-        p1 = random_fuzzy_pred(xs, rng)
-        p2 = random_fuzzy_pred(xs, rng)
-        c = random_stoch_channel(xs, ys, rng)
-        qy = random_fuzzy_pred(ys, rng)
-        tau = random_dist(xs.tensor(ys), rng)
-        hs = qu.hat_state(omega)
-        hp1 = qu.hat_pred(p1)
-        hp2 = qu.hat_pred(p2)
-        hc = qu.hat_channel(c)
-        hq = qu.hat_pred(qy)
-        htau = qu.hat_state(tau)
-        t.see(
-            "embed-validity", abs(cl.validity(omega, p1) - qu.validity(hs, hp1))
-        )
-        t.see(
-            "embed-conjunction",
-            fro_norm(
-                qu.hat_pred(cl.conjunction(p1, p2)).mat - qu.andthen(hp1, hp2).mat
-            ),
-        )
-        t.see(
-            "embed-state-transform",
-            fro_norm(qu.hat_state(c.push(omega)).mat - hc.push(hs).mat),
-        )
-        t.see(
-            "embed-pred-transform",
-            fro_norm(qu.hat_pred(c.pull(qy)).mat - hc.pull(hq).mat),
-        )
-        t.see(
-            "embed-pair",
-            fro_norm(qu.hat_state(cl.pair(omega, c)).mat - co.pair(hs, hc).mat),
-        )
-        try:
-            conditioned = qu.hat_state(cl.condition(omega, p1))
-            t.see(
-                "embed-condition-lower",
-                fro_norm(conditioned.mat - qu.condition_lower(hs, hp1).mat),
-            )
-            t.see(
-                "embed-condition-upper",
-                fro_norm(conditioned.mat - qu.condition_upper(hs, hp1).mat),
-            )
-            t.see(
-                "embed-extract",
-                float(
-                    np.linalg.norm(
-                        qu.hat_channel(cl.extract(tau)).blocks
-                        - co.extract(htau).blocks
-                    )
-                ),
-            )
-            prior = tau.marginal([1, 0])
-            fwd = cl.extract(tau).push(cl.condition(prior, p1))
-            t.see(
-                "embed-inference-forward",
-                fro_norm(
-                    qu.hat_state(fwd).mat - co.inference_forward(htau, hp1).mat
-                ),
-            )
-            bwd = cl.condition(prior, cl.extract(tau).pull(qy))
-            t.see(
-                "embed-inference-backward",
-                fro_norm(
-                    qu.hat_state(bwd).mat - co.inference_backward(htau, hq).mat
-                ),
-            )
-        except (ZeroValidityError, SupportError, SingularMarginalError):
-            t.errors += 1
+def _embedding(rng, dims, i):
+    xs = labeled_space("x", int(rng.integers(2, 5)))
+    ys = labeled_space("y", int(rng.integers(2, 5)))
+    omega = random_dist(xs, rng)
+    p1 = random_fuzzy_pred(xs, rng)
+    p2 = random_fuzzy_pred(xs, rng)
+    c = random_stoch_channel(xs, ys, rng)
+    qy = random_fuzzy_pred(ys, rng)
+    tau = random_dist(xs.tensor(ys), rng)
+    hs = qu.hat_state(omega)
+    hp1 = qu.hat_pred(p1)
+    hp2 = qu.hat_pred(p2)
+    hc = qu.hat_channel(c)
+    hq = qu.hat_pred(qy)
+    htau = qu.hat_state(tau)
+    yield "embed-validity", abs(cl.validity(omega, p1) - qu.validity(hs, hp1))
+    yield "embed-conjunction", fro_norm(
+        qu.hat_pred(cl.conjunction(p1, p2)).mat - qu.andthen(hp1, hp2).mat
+    )
+    yield "embed-state-transform", fro_norm(
+        qu.hat_state(c.push(omega)).mat - hc.push(hs).mat
+    )
+    yield "embed-pred-transform", fro_norm(
+        qu.hat_pred(c.pull(qy)).mat - hc.pull(hq).mat
+    )
+    yield "embed-pair", fro_norm(
+        qu.hat_state(cl.pair(omega, c)).mat - co.pair(hs, hc).mat
+    )
+    conditioned = qu.hat_state(cl.condition(omega, p1))
+    yield "embed-condition-lower", fro_norm(
+        conditioned.mat - qu.condition_lower(hs, hp1).mat
+    )
+    yield "embed-condition-upper", fro_norm(
+        conditioned.mat - qu.condition_upper(hs, hp1).mat
+    )
+    yield "embed-extract", np.linalg.norm(
+        qu.hat_channel(cl.extract(tau)).blocks - co.extract(htau).blocks
+    )
+    prior = tau.marginal([1, 0])
+    fwd = cl.extract(tau).push(cl.condition(prior, p1))
+    yield "embed-inference-forward", fro_norm(
+        qu.hat_state(fwd).mat - co.inference_forward(htau, hp1).mat
+    )
+    bwd = cl.condition(prior, cl.extract(tau).pull(qy))
+    yield "embed-inference-backward", fro_norm(
+        qu.hat_state(bwd).mat - co.inference_backward(htau, hq).mat
+    )
 
 
 SUITES = {
-    "classical-bayes": _suite_classical_bayes,
-    "semiexp": _suite_semiexp,
-    "quantum-bayes": _suite_quantum_bayes,
-    "quantum-duality": _suite_quantum_duality,
-    "pair-extract": _suite_pair_extract,
-    "inference": _suite_inference,
-    "witnesses": _suite_witnesses,
-    "embedding": _suite_embedding,
+    "classical-bayes": _Suite(
+        dict.fromkeys(
+            (
+                "product-rule",
+                "bayes-rule",
+                "successive-conditioning",
+                "commuting-conditioning",
+                "validity-duality",
+                "inference-forward",
+                "inference-backward",
+            ),
+            CLASSICAL_TOL,
+        ),
+        (ZeroValidityError, SupportError),
+        _classical_bayes,
+    ),
+    "semiexp": _Suite(
+        {
+            "beta-law": CLASSICAL_TOL,
+            "naturality": CLASSICAL_TOL,
+            "eta-violation-shortfall": SHORTFALL_TOL,
+        },
+        (SupportError,),
+        _semiexp,
+        searches={"eta-law-violation": "eta-violation-shortfall"},
+    ),
+    "quantum-bayes": _Suite(
+        {"product-rule-lower": QUANTUM_TOL, "bayes-rule-upper": QUANTUM_TOL},
+        (ZeroValidityError,),
+        _quantum_bayes,
+    ),
+    "quantum-duality": _Suite(
+        {"validity-duality": QUANTUM_TOL}, (), _quantum_duality, refuse=_channel_dims
+    ),
+    "pair-extract": _Suite(
+        {
+            "project-of-pair": RECOVERY_TOL,
+            "extract-of-pair": RECOVERY_TOL,
+            "pair-of-project-extract": RECOVERY_TOL,
+            "second-marginal-via-push": RECOVERY_TOL,
+            "pairing-two-path": QUANTUM_TOL,
+        },
+        (SingularMarginalError,),
+        _pair_extract,
+        refuse=_channel_dims,
+    ),
+    "inference": _Suite(
+        {"forward-inference": INFERENCE_TOL, "backward-inference": INFERENCE_TOL},
+        (SingularMarginalError, ZeroValidityError),
+        _inference,
+    ),
+    "witnesses": _Suite(
+        {
+            "noncommute-fixed-witness": FIXED_WITNESS_TOL,
+            "nonreduce-fixed-witness": FIXED_WITNESS_TOL,
+            "noncommute-search-shortfall": SHORTFALL_TOL,
+            "nonreduce-search-shortfall": SHORTFALL_TOL,
+        },
+        (ZeroValidityError,),
+        _witnesses,
+        searches={
+            "noncommute": "noncommute-search-shortfall",
+            "nonreduce": "nonreduce-search-shortfall",
+        },
+        refuse=_witness_dims,
+    ),
+    "embedding": _Suite(
+        dict.fromkeys(
+            (
+                "embed-validity",
+                "embed-conjunction",
+                "embed-condition-lower",
+                "embed-condition-upper",
+                "embed-state-transform",
+                "embed-pred-transform",
+                "embed-pair",
+                "embed-extract",
+                "embed-inference-forward",
+                "embed-inference-backward",
+            ),
+            EMBED_TOL,
+        ),
+        (ZeroValidityError, SupportError, SingularMarginalError),
+        _embedding,
+    ),
 }
-# Suites that draw channels n -> m with random_qchannel, which needs
-# m * m >= n for its Kraus stack to admit an isometry.
-_CHANNEL_SUITES = frozenset({"quantum-duality", "pair-extract"})
 
 
 def run_suite(
@@ -620,11 +583,15 @@ def run_suite(
 ) -> TrialReport:
     """Run one named suite and return its TrialReport.
 
-    dims is a list of flat dimensions: bipartite suites read (n, m) from
-    its first two entries, single-system suites cycle through it per
-    trial. A tol override replaces every equation's default tolerance;
-    it must be finite and > 0, since an infinite one would pass any
-    deviation and a zero, negative or NaN one would fail every equation.
+    dims is a list of flat dimensions, read per suite: quantum-duality,
+    pair-extract and inference take (n, m) from its first two entries
+    (one entry serves as both); quantum-bayes cycles through it, one
+    entry per trial; witnesses reads only dims[0]; classical-bayes,
+    semiexp and embedding ignore it and draw their own space sizes
+    (4 to 6 points for classical-bayes, 2 to 4 for the other two).
+    A tol override replaces every equation's default tolerance; it must
+    be finite and > 0, since an infinite one would pass any deviation
+    and a zero, negative or NaN one would fail every equation.
     Dimensions a suite cannot use raise DimensionError before any trial
     runs.
     """
@@ -637,12 +604,8 @@ def run_suite(
     if tol is not None and not 0 < float(tol) < math.inf:
         raise ValueError(f"tol must be a finite value > 0, got {tol!r}")
     dims = check_dims(dims)
-    n, m = _bipartite(dims)
-    if suite in _CHANNEL_SUITES and m * m < n:
-        raise DimensionError(
-            f"suite {suite} draws channels from dimension {n} to {m}, "
-            f"which needs {m}*{m} >= {n}"
-        )
-    tracker = _Tracker()
-    SUITES[suite](int(seed) & U64, int(trials), dims, tracker)
-    return tracker.report(suite, trials, seed, tol)
+    spec = SUITES[suite]
+    problem = spec.refuse(dims) if spec.refuse else None
+    if problem:
+        raise DimensionError(f"suite {suite} {problem}")
+    return _drive(suite, spec, seed, int(trials), dims, tol)

@@ -107,8 +107,15 @@ class TestVerifyCommand:
         for eq in report["equations"]:
             assert f"{eq['name']:<28} max_dev={eq['max_dev']:.6e}" in text
 
-    @pytest.mark.parametrize("suite", ["quantum-duality", "pair-extract"])
-    @pytest.mark.parametrize("dims", ["5,2", "4,1"])
+    @pytest.mark.parametrize(
+        "dims, suite",
+        [
+            (dims, suite)
+            for dims in ("5,2", "4,1")
+            for suite in ("quantum-duality", "pair-extract")
+        ]
+        + [("1,4", "witnesses"), ("1,1", "witnesses")],
+    )
     def test_unusable_dims_are_a_usage_error(self, capsys, suite, dims):
         code, out, err = _run(capsys, "verify", "--suite", suite, "--dims", dims)
         assert code == 2

@@ -1,13 +1,14 @@
 """The randomized harness itself: generators, determinism, reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qbayes import cli, verify
 from qbayes import correspond as co
-from qbayes.errors import DimensionError, SingularMarginalError
+from qbayes.errors import DimensionError, SingularMarginalError, ZeroValidityError
 from qbayes.quantum import Effect
 
 
@@ -47,10 +48,14 @@ class TestGenerators:
         np.testing.assert_allclose(c.matrix.sum(axis=1), np.ones(5), atol=1e-12)
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 class TestRunSuite:
-    def test_reports_repeat_byte_for_byte(self):
-        a = verify.run_suite("classical-bayes", trials=5, seed=11)
-        b = verify.run_suite("classical-bayes", trials=5, seed=11)
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_reports_repeat_byte_for_byte(self, suite):
+        a = verify.run_suite(suite, trials=3, seed=11, dims=(2, 2))
+        b = verify.run_suite(suite, trials=3, seed=11, dims=(2, 2))
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(
             b.to_json(), sort_keys=True
         )
@@ -93,9 +98,17 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             verify.run_suite("classical-bayes", trials=0)
 
-    @pytest.mark.parametrize("suite", ["quantum-duality", "pair-extract"])
-    @pytest.mark.parametrize("dims", [(5, 2), (2, 1), (4, 1)])
-    def test_channel_suites_refuse_unusable_dims(self, suite, dims):
+    @pytest.mark.parametrize(
+        "suite, dims",
+        [
+            (suite, dims)
+            for suite in ("quantum-duality", "pair-extract")
+            for dims in ((5, 2), (2, 1), (4, 1))
+        ]
+        # in dimension 1 all effects commute, so no witness can exist
+        + [("witnesses", (1, 4)), ("witnesses", (1, 1))],
+    )
+    def test_suites_refuse_unusable_dims(self, suite, dims):
         with pytest.raises(DimensionError, match="needs"):
             verify.run_suite(suite, trials=1, dims=dims)
 
@@ -103,25 +116,56 @@ class TestRunSuite:
         report = verify.run_suite("quantum-duality", trials=2, dims=(4, 2))
         assert report.all_pass
 
+    def test_suites_match_the_benchmark_reference(self):
+        # perfbench exits without a result when a suite's equations or tols drift
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        assert sorted(reference) == sorted(verify.SUITES)
+        for suite, expected in reference.items():
+            report = verify.run_suite(suite, trials=2, dims=(3, 5))
+            equations = [[eq.name, eq.tol] for eq in report.equations]
+            assert equations == expected["equations"], suite
+            claims = sorted(w["claim"] for w in report.witnesses)
+            assert claims == expected["witnesses"], suite
+
+
+def _fake_suite(monkeypatch, trial, tolerated=()):
+    suite = verify._Suite({"x": 1e-9}, tolerated, trial)
+    monkeypatch.setitem(verify.SUITES, "fake", suite)
+
 
 class TestFailsClosed:
-    def test_nan_deviation_fails(self):
-        t = verify._Tracker()
-        t.declare("x", 1e-9)
-        t.see("x", 1e-12)
-        t.see("x", float("nan"))
-        t.see("x", 1e-12)
-        (eq,) = t.report("s", 3, 0, None).equations
+    def test_nan_deviation_fails(self, monkeypatch):
+        def trial(rng, dims, i):
+            yield "x", [1e-12, float("nan"), 1e-12][i]
+
+        _fake_suite(monkeypatch, trial)
+        (eq,) = verify.run_suite("fake", trials=3, seed=0).equations
         assert np.isnan(eq.max_dev)
         assert not eq.passed
 
-    def test_unobserved_equation_fails(self):
-        t = verify._Tracker()
-        t.declare("x", 1e-9)
-        t.errors = 5
-        report = t.report("s", 5, 0, None)
+    def test_unobserved_equation_fails(self, monkeypatch):
+        def trial(rng, dims, i):
+            raise SingularMarginalError("forced")
+            yield  # a generator that raises before its first equation
+
+        _fake_suite(monkeypatch, trial, (SingularMarginalError,))
+        report = verify.run_suite("fake", trials=5, seed=0)
+        assert report.trial_errors == 5
         assert report.equations[0].max_dev == 0.0
         assert not report.all_pass
+
+    def test_equations_before_a_raise_still_count(self, monkeypatch):
+        def zero_validity(tau, q):
+            raise ZeroValidityError("forced")
+
+        monkeypatch.setattr(co, "crossover_first", zero_validity)
+        report = verify.run_suite("inference", trials=4, seed=1, dims=(2, 2))
+        forward, backward = report.equations
+        assert forward.name == "forward-inference"
+        assert forward.passed and forward.max_dev > 0
+        assert backward.name == "backward-inference"
+        assert not backward.passed and backward.max_dev == 0.0
+        assert report.trial_errors == 4
 
     def test_every_trial_raising_fails_the_suite(self, monkeypatch, capsys):
         def singular(tau):
