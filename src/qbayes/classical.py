@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, SupportError, ZeroValidityError
-from .linalg import ZERO_VALIDITY, _checked_entries
+from .linalg import ZERO_VALIDITY, _check_mask, _checked_entries
 
 
 class Space:
@@ -95,13 +95,6 @@ class Space:
 
     def __repr__(self) -> str:
         return "Space" + repr(tuple(list(c) for c in self.components))
-
-
-def _check_mask(mask, arity: int) -> list[int]:
-    bits = [int(b) for b in mask]
-    if len(bits) != arity or any(b not in (0, 1) for b in bits):
-        raise DimensionError(f"mask {mask} does not fit arity {arity}")
-    return bits
 
 
 def _ket(space: Space, values: np.ndarray) -> str:

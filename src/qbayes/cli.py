@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import classical as cl
-from . import quantum as qu
 from .classical import Dist, FuzzyPred, Space, StochChannel
 from .errors import DimensionError
 from .linalg import IMAG_PRINT_TOL, matrix_from_json
@@ -23,6 +22,7 @@ from .verify import (
     FIXED_WITNESS_TOL,
     SUITES,
     TrialReport,
+    _conditioning_orders,
     fixed_witness,
     run_suite,
 )
@@ -190,9 +190,7 @@ def _fmt_matrix(mat: np.ndarray) -> str:
 
 def _cmd_witness(cfg: argparse.Namespace) -> int:
     sigma, p, q = fixed_witness()
-    pq = qu.condition_lower(qu.condition_lower(sigma, p), q)
-    qp = qu.condition_lower(qu.condition_lower(sigma, q), p)
-    dist = float(np.linalg.norm(pq.mat - qp.mat))
+    pq, qp, dist = _conditioning_orders(sigma, p, q)
     if cfg.json_out:
         print(
             json.dumps(

@@ -8,7 +8,11 @@ reshape convention, so no permutations are needed anywhere.
 The numerical tolerances of every layer live here, one constant per
 rule, so that every caller agrees on what "Hermitian", "PSD",
 "normalised" or "invertible" means. So do the checks that the
-classical and quantum value types run on their input.
+classical and quantum value types run on their input: finiteness first,
+then the range. A quantum channel is checked as its Choi matrix
+[c[k, l]]_kl (M.-D. Choi, Linear Algebra Appl. 10, 1975): its blocks'
+hermiticity pattern is that matrix being Hermitian, and complete
+positivity is that matrix being PSD.
 
 A spectral range check (a state's PSD, an effect's 0 <= p <= I, a
 channel's complete positivity and sub-unitality) is decided by a
@@ -65,8 +69,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} entries must be finite")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -74,7 +78,7 @@ def as_matrix(a) -> np.ndarray:
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {mat.shape}")
-    _require_finite(mat, "matrix")
+    _require_finite(mat, "matrix entries")
     return mat
 
 
@@ -89,9 +93,14 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return a.shape[0] == a.shape[1] and bool(
-        np.max(np.abs(a - a.conj().T)) <= tol
-    )
+    if a.shape[0] != a.shape[1]:
+        return False
+    # a - a^dag in one C-ordered temporary, which keeps large checks (a
+    # channel's Choi matrix) cheap; the ufunc always allocates, where
+    # a.conj() of a real array would be a itself
+    gap = np.conjugate(a.T, order="C")
+    np.subtract(a, gap, out=gap)
+    return bool(np.max(np.abs(gap)) <= tol)
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
@@ -163,6 +172,7 @@ def _checked_entries(values, shape: tuple[int, ...], what: str, stochastic: bool
         arr = arr.reshape(-1)
     if arr.shape != shape:
         raise DimensionError(f"{what} of shape {arr.shape}, expected {shape}")
+    _require_finite(arr, what)
     high = None if stochastic else 1.0
     if arr.min() < -PROB_CLIP or (high is not None and arr.max() > high + PROB_CLIP):
         raise ValueError(
@@ -175,6 +185,35 @@ def _checked_entries(values, shape: tuple[int, ...], what: str, stochastic: bool
         if abs(sums - 1.0).max() > NORM_TOL:
             raise ValueError(f"{what} sum to {sums!r}, not 1")
     return _freeze(arr)
+
+
+def _checked_channel(blocks, n: int, m: int, check_cp: bool) -> tuple[np.ndarray, bool]:
+    """Validate a channel's (m, m, n, n) blocks c[k, l] as its Choi matrix.
+
+    Returns a frozen complex copy and the unital flag: sum_k c[k, k] = I
+    is unital, a sum below I sub-unital, any other sum is rejected.
+    """
+    arr = np.asarray(blocks, dtype=np.complex128)
+    if arr.shape != (m, m, n, n):
+        raise DimensionError(f"blocks shape {arr.shape}, expected {(m, m, n, n)}")
+    _require_finite(arr, "block entries")
+    # the Choi matrix is Hermitian exactly when c[l, k] = c[k, l]^dag
+    choi = np.transpose(arr, (0, 2, 1, 3)).reshape(m * n, m * n)
+    if not is_hermitian(choi):
+        raise NotPositiveError("blocks break the hermiticity pattern")
+    gap = np.einsum("kkij->ij", arr) - np.eye(n)
+    unital = bool(np.max(np.abs(gap)) <= NORM_TOL)
+    if not unital:
+        defect = (gap + gap.conj().T) / 2
+        if _spectrum_outside(defect, high=NORM_TOL) is not None:
+            raise NotPositiveError("block diagonal sums above the identity")
+    if check_cp:
+        eigs = _spectrum_outside((choi + choi.conj().T) / 2, low=-CP_TOL)
+        if eigs is not None:
+            raise NotPositiveError(
+                f"blocks are not completely positive ({eigs.min():.3e})"
+            )
+    return _freeze(arr.copy()), unital
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -209,6 +248,14 @@ def check_dims(dims, flat: int | None = None) -> tuple[int, ...]:
     return out
 
 
+def _check_mask(mask, arity: int) -> list[int]:
+    """The 0/1 bits of a marginal mask over `arity` components."""
+    bits = [int(b) for b in mask]
+    if len(bits) != arity or any(b not in (0, 1) for b in bits):
+        raise DimensionError(f"mask {mask} does not fit arity {arity}")
+    return bits
+
+
 def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out the components of `dims` whose `keep` bit is 0.
 
@@ -219,9 +266,7 @@ def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
     dims = check_dims(dims, mat.shape[0])
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError("partial_trace needs a square matrix")
-    bits = [int(b) for b in keep]
-    if len(bits) != len(dims) or any(b not in (0, 1) for b in bits):
-        raise DimensionError(f"mask {keep} does not match dimension list {dims}")
+    bits = _check_mask(keep, len(dims))
     k = len(dims)
     if 2 * k > len(string.ascii_lowercase):
         raise DimensionError("too many components")

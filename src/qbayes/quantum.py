@@ -45,15 +45,11 @@ import numpy as np
 from .classical import Dist, FuzzyPred, StochChannel
 from .errors import DimensionError, NotPositiveError, ZeroValidityError
 from .linalg import (
-    CP_TOL,
     EIG_CLIP,
-    HERMITIAN_TOL,
     NORM_TOL,
     ZERO_VALIDITY,
+    _checked_channel,
     _checked_operator,
-    _freeze,
-    _require_finite,
-    _spectrum_outside,
     as_matrix,
     check_dims,
     matrix_from_json,
@@ -168,42 +164,11 @@ class QChannel:
     __slots__ = ("blocks", "in_dims", "out_dims", "unital")
 
     def __init__(self, blocks, in_dims, out_dims, *, check_cp: bool = True):
-        arr = np.asarray(blocks, dtype=np.complex128)
-        in_dims = check_dims(in_dims)
-        out_dims = check_dims(out_dims)
-        n = math.prod(in_dims)
-        m = math.prod(out_dims)
-        if arr.shape != (m, m, n, n):
-            raise DimensionError(
-                f"blocks shape {arr.shape}, expected {(m, m, n, n)}"
-            )
-        _require_finite(arr, "block")
-        # hermiticity pattern c[l, k] = c[k, l]^dag
-        flipped = np.conj(np.transpose(arr, (1, 0, 3, 2)))
-        if np.max(np.abs(arr - flipped)) > HERMITIAN_TOL:
-            raise NotPositiveError("blocks break the hermiticity pattern")
-        unit = np.einsum("kkij->ij", arr)
-        gap = unit - np.eye(n)
-        if np.max(np.abs(gap)) <= NORM_TOL:
-            unital = True
-        else:
-            defect = (gap + gap.conj().T) / 2
-            if _spectrum_outside(defect, high=NORM_TOL) is not None:
-                raise NotPositiveError("block diagonal sums above the identity")
-            unital = False
-        if check_cp:
-            # complete positivity == PSD of the block matrix [c[k, l]]_kl
-            choi = np.transpose(arr, (0, 2, 1, 3)).reshape(m * n, m * n)
-            eigs = _spectrum_outside((choi + choi.conj().T) / 2, low=-CP_TOL)
-            if eigs is not None:
-                raise NotPositiveError(
-                    f"blocks are not completely positive ({eigs.min():.3e})"
-                )
-        arr = arr.copy()
-        self.blocks = _freeze(arr)
-        self.in_dims = in_dims
-        self.out_dims = out_dims
-        self.unital = unital
+        self.in_dims = check_dims(in_dims)
+        self.out_dims = check_dims(out_dims)
+        self.blocks, self.unital = _checked_channel(
+            blocks, math.prod(self.in_dims), math.prod(self.out_dims), check_cp
+        )
 
     @property
     def in_flat(self) -> int:

@@ -91,17 +91,18 @@ def random_effect(dims, rng: np.random.Generator) -> Effect:
 def random_qchannel(in_dims, out_dims, rng: np.random.Generator) -> QChannel:
     """Random unital grid from an isometric stack of Kraus operators.
 
-    Draws flat(out_dims) Kraus operators as the blocks of a
-    QR-orthonormalized Ginibre matrix, so sum_r A_r^dag A_r = I exactly
-    up to rounding. Needs flat(out)^2 >= flat(in) for the stack to admit
-    an isometry.
+    With n = flat(in_dims) and m = flat(out_dims), draws r = max(m,
+    ceil(n / m)) Kraus operators A_r as the m x n blocks of a
+    QR-orthonormalized (r * m) x n Ginibre matrix, so sum_r A_r^dag A_r = I
+    exactly up to rounding; r * m >= n rows are what the isometry needs.
     """
     in_dims = check_dims(in_dims)
     out_dims = check_dims(out_dims)
     n = math.prod(in_dims)
     m = math.prod(out_dims)
-    q, _ = np.linalg.qr(_ginibre(m * m, n, rng))
-    kraus = [q[j * m : (j + 1) * m, :] for j in range(m)]
+    r = max(m, -(-n // m))
+    q, _ = np.linalg.qr(_ginibre(r * m, n, rng))
+    kraus = [q[j * m : (j + 1) * m, :] for j in range(r)]
     return QChannel.from_kraus(kraus, in_dims, out_dims)
 
 
@@ -344,14 +345,6 @@ def _bipartite(dims) -> tuple[int, int]:
     return dims[0], dims[1 % len(dims)]
 
 
-def _channel_dims(dims) -> str | None:
-    # random_qchannel's Kraus stack admits an isometry only when m * m >= n
-    n, m = _bipartite(dims)
-    if m * m < n:
-        return f"draws channels from dimension {n} to {m}, which needs {m}*{m} >= {n}"
-    return None
-
-
 def _quantum_duality(rng, dims, i):
     n, m = _bipartite(dims)
     sigma = random_qstate((n,), rng)
@@ -399,14 +392,22 @@ def fixed_witness() -> tuple[QState, Effect, Effect]:
     return sigma, p, q
 
 
-def _witness_candidates(sigma: QState, p: Effect, q: Effect) -> list[tuple]:
-    """Both search candidates of one instance, each deviation computed first."""
+def _conditioning_orders(
+    sigma: QState, p: Effect, q: Effect
+) -> tuple[QState, QState, float]:
+    """(sigma|_p)|_q, (sigma|_q)|_p and their Frobenius distance."""
     pq = qu.condition_lower(qu.condition_lower(sigma, p), q)
     qp = qu.condition_lower(qu.condition_lower(sigma, q), p)
+    return pq, qp, fro_norm(pq.mat - qp.mat)
+
+
+def _witness_candidates(sigma: QState, p: Effect, q: Effect) -> list[tuple]:
+    """Both search candidates of one instance, each deviation computed first."""
+    pq, _, noncommute = _conditioning_orders(sigma, p, q)
     merged = qu.condition_lower(sigma, qu.andthen(p, q))
     inputs = {"state": sigma, "pred_p": p, "pred_q": q}
     return [
-        ("noncommute", fro_norm(pq.mat - qp.mat), inputs),
+        ("noncommute", noncommute, inputs),
         ("nonreduce", fro_norm(pq.mat - merged.mat), inputs),
     ]
 
@@ -517,9 +518,7 @@ SUITES = {
         (ZeroValidityError,),
         _quantum_bayes,
     ),
-    "quantum-duality": _Suite(
-        {"validity-duality": QUANTUM_TOL}, (), _quantum_duality, refuse=_channel_dims
-    ),
+    "quantum-duality": _Suite({"validity-duality": QUANTUM_TOL}, (), _quantum_duality),
     "pair-extract": _Suite(
         {
             "project-of-pair": RECOVERY_TOL,
@@ -530,7 +529,6 @@ SUITES = {
         },
         (SingularMarginalError,),
         _pair_extract,
-        refuse=_channel_dims,
     ),
     "inference": _Suite(
         {"forward-inference": INFERENCE_TOL, "backward-inference": INFERENCE_TOL},
@@ -593,7 +591,8 @@ def run_suite(
     be finite and > 0, since an infinite one would pass any deviation
     and a zero, negative or NaN one would fail every equation.
     Dimensions a suite cannot use raise DimensionError before any trial
-    runs.
+    runs; only witnesses has such dims, dims[0] = 1, where all effects
+    commute.
     """
     if suite not in SUITES:
         raise ValueError(

@@ -61,6 +61,20 @@ class TestConstructorWindows:
         with pytest.raises(ValueError):
             SMOKING.probs[0] = 0.5
 
+    # NaN compares false against every bound, so only a finiteness check
+    # keeps it out
+    def test_dist_rejects_nan(self):
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            Dist(BND, [np.nan, 0.5])
+
+    def test_pred_rejects_nan(self):
+        with pytest.raises(ValueError, match="^predicate values must be finite$"):
+            FuzzyPred(BND, [np.nan, 0.5])
+
+    def test_channel_rejects_nan(self):
+        with pytest.raises(ValueError, match="^channel rows must be finite$"):
+            StochChannel(BND, BND, [[np.nan, 1.0], [0.0, 1.0]])
+
 
 class TestValidity:
     def test_smoking_ashtray_evidence(self):
@@ -336,6 +350,14 @@ class TestJsonForms:
         back = StochChannel.from_json(d)
         assert back.dom == BND and back.cod == BND
         np.testing.assert_allclose(back.matrix, CANCER.matrix)
+
+    def test_from_json_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            Dist.from_json({"labels": [["t"], ["f"]], "probs": [np.nan, 0.5]})
+        d = CANCER.to_json()
+        d["rows"][1][0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            StochChannel.from_json(d)
 
     def test_from_json_rejects_non_product_listing(self):
         with pytest.raises(DimensionError):

@@ -108,19 +108,29 @@ class TestVerifyCommand:
             assert f"{eq['name']:<28} max_dev={eq['max_dev']:.6e}" in text
 
     @pytest.mark.parametrize(
-        "dims, suite",
-        [
-            (dims, suite)
-            for dims in ("5,2", "4,1")
-            for suite in ("quantum-duality", "pair-extract")
-        ]
-        + [("1,4", "witnesses"), ("1,1", "witnesses")],
+        "dims, suite", [("1,4", "witnesses"), ("1,1", "witnesses")]
     )
     def test_unusable_dims_are_a_usage_error(self, capsys, suite, dims):
         code, out, err = _run(capsys, "verify", "--suite", suite, "--dims", dims)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("verify: ")
+
+    @pytest.mark.parametrize(
+        "dims, suite",
+        [
+            (dims, suite)
+            for dims in ("5,2", "4,1")
+            for suite in ("quantum-duality", "pair-extract")
+        ],
+    )
+    def test_channel_suites_run_below_the_square_bound(self, capsys, suite, dims):
+        code, out, err = _run(
+            capsys, "verify", "--suite", suite, "--dims", dims, "--trials", "5"
+        )
+        assert code == 0
+        assert out.endswith("PASS\n")
+        assert err == ""
 
     def test_tiny_tol_fails_and_names_the_equation(self, capsys):
         code, out, _ = _run(
@@ -241,6 +251,14 @@ class TestInspectCommand:
         code, out, _ = _run(capsys, "inspect", "--file", str(f), "--json")
         assert code == 0
         np.testing.assert_allclose(json.loads(out)["probs"], [0.3, 0.7])
+
+    def test_nan_entry_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "nan.json"
+        f.write_text('{"labels": [["a"], ["b"]], "probs": [NaN, 0.5]}')
+        code, out, err = _run(capsys, "inspect", "--file", str(f))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("inspect: ")
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "inspect", "--file", "/no/such/file.json")

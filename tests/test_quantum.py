@@ -18,7 +18,7 @@ from qbayes.errors import (
     NotPositiveError,
     ZeroValidityError,
 )
-from qbayes.linalg import CP_TOL, EIG_CLIP, NORM_TOL, psd_sqrt
+from qbayes.linalg import CP_TOL, EIG_CLIP, HERMITIAN_TOL, NORM_TOL, psd_sqrt
 from qbayes.quantum import Effect, QChannel, QState
 
 KET0 = Effect([[1, 0], [0, 0]], (2,))
@@ -200,6 +200,23 @@ class TestRangeBoundaries:
             else None
         )
         _outcome(lambda: QChannel(blocks, (n // 2,), (2,)), message)
+
+    def test_hermiticity_pattern_bound(self, n, basis, factor):
+        # identity blocks c[k, l] = |k><l| meet the pattern exactly; adding
+        # d * e to c[0, 1] alone leaves max|c[k, l] - c[l, k]^dag| = d max|e|
+        blocks = QChannel.identity((n,)).blocks.copy()
+        if basis == "diagonal":
+            e = np.zeros((n, n))
+            e[n - 1, 0] = 1.0
+        else:
+            e = _ginibre(np.random.default_rng(n), n, n)
+            e /= np.max(np.abs(e))
+        blocks[0, 1] += factor * HERMITIAN_TOL * e
+        message = "blocks break the hermiticity pattern" if factor > 1 else None
+        for check_cp in (True, False):
+            _outcome(
+                lambda: QChannel(blocks, (n,), (n,), check_cp=check_cp), message
+            )
 
     def test_diagonal_sum_upper_bound(self, n, basis, factor):
         gap = [factor * NORM_TOL] + [-0.5] * (n - 1)

@@ -104,9 +104,18 @@ class TestRunSuite:
             (suite, dims)
             for suite in ("quantum-duality", "pair-extract")
             for dims in ((5, 2), (2, 1), (4, 1))
-        ]
+        ],
+    )
+    def test_channel_suites_pass_below_the_square_bound(self, suite, dims):
+        # m * m < n: random_qchannel stacks more than m Kraus operators
+        report = verify.run_suite(suite, trials=3, dims=dims)
+        assert report.all_pass
+        assert report.trial_errors == 0
+
+    @pytest.mark.parametrize(
+        "suite, dims",
         # in dimension 1 all effects commute, so no witness can exist
-        + [("witnesses", (1, 4)), ("witnesses", (1, 1))],
+        [("witnesses", (1, 4)), ("witnesses", (1, 1))],
     )
     def test_suites_refuse_unusable_dims(self, suite, dims):
         with pytest.raises(DimensionError, match="needs"):
