@@ -115,8 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once per process: parse_args leaves the tree untouched and
+# starts every call from a fresh Namespace.
+_PARSER = build_parser()
+
+
 def parse_args(argv) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    return _PARSER.parse_args(argv)
 
 
 def _cmd_demo(cfg: argparse.Namespace) -> int:

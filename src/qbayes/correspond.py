@@ -83,16 +83,32 @@ def project(tau: QState) -> QState:
 
 
 def extract(tau: QState) -> QChannel:
-    """Disintegrate a joint with invertible proj into a unital channel."""
+    """Disintegrate a joint with invertible proj into a unital channel.
+
+    The channel is memoised on the joint, which is immutable, so every
+    later call on the same QState returns the same QChannel; two threads
+    racing on a fresh joint can only compute it twice. A failed extract
+    stores nothing, so it raises again on the next call.
+    """
+    chan = getattr(tau, "_extracted", None)
+    if chan is not None:
+        return chan
     n, m = _require_joint(tau)
     inv_root = psd_inv_sqrt(project(tau).mat)
-    t4 = tau.mat.reshape(n, m, n, m)
-    # w[k, l]_ij = conj(<ik| tau |jl>)
-    w = np.conj(np.transpose(t4, (1, 3, 0, 2)))
-    blocks = inv_root @ w @ inv_root
+    # blocks[k, l] = R w[k, l] R with w[k, l]_ij = conj(<ik| tau |jl>),
+    # as two flat GEMMs: R @ conj(t) = conj(R^T @ t) because R is
+    # Hermitian, contracting i over tau's rows, then j against R.
+    left = inv_root.T @ tau.mat.reshape(n, m * n * m)  # [a, k, j, l]
+    moved = np.empty((n, m, m, n), dtype=np.complex128)  # [a, k, l, j]
+    np.conjugate(left.reshape(n, m, n, m), out=moved.transpose(0, 1, 3, 2))
+    np.matmul(moved.reshape(n * m * m, n), inv_root, out=left.reshape(n * m * m, n))
+    del moved  # room for the channel's private copy
+    blocks = left.reshape(n, m, m, n).transpose(1, 2, 0, 3)  # [k, l, a, b]
     # CP holds by construction: w is a conjugated reindexing of tau^T
     # (PSD), sandwiched by the Hermitian inv_root on both sides.
-    return QChannel(blocks, (n,), (m,), check_cp=False)
+    chan = QChannel(blocks, (n,), (m,), check_cp=False)
+    tau._extracted = chan
+    return chan
 
 
 def recover(tau: QState) -> tuple[QState, QChannel, QState]:

@@ -92,15 +92,55 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+# Entries per block of a hermiticity check: 64 KiB of complex128, below
+# the size at which glibc's allocator maps fresh pages for a buffer.
+_GAP_BLOCK = 4096
+
+
+def _conj_gap(a: np.ndarray, flipped: np.ndarray) -> float:
+    """max |a - conj(flipped)| for a view `flipped` of a's transpose.
+
+    A large check (a joint state, a channel's Choi matrix) runs in
+    blocks of about _GAP_BLOCK entries along the first axis, so that it
+    reuses a few small buffers instead of first-touching a fresh
+    joint-sized one.
+    """
+    rows = a.shape[0]
+    step = max(1, _GAP_BLOCK * rows // max(a.size, 1))
+    if step >= rows:
+        return _block_gap(a, flipped)
+    return float(
+        np.max([
+            _block_gap(a[r : r + step], flipped[r : r + step])
+            for r in range(0, rows, step)
+        ])
+    )
+
+
+def _block_gap(a: np.ndarray, flipped: np.ndarray) -> float:
+    # one C-ordered temporary; the ufunc always allocates, where
+    # a.conj() of a real array would be a itself
+    gap = np.conjugate(flipped, order="C")
+    np.subtract(a, gap, out=gap)
+    return float(np.max(np.abs(gap)))
+
+
+def _conj_mean(a: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """(a + conj(flipped)) / 2 in one fresh C-ordered array.
+
+    With flipped = a.T this is (a + a.conj().T) / 2 bit for bit: the sum
+    commutes exactly and the in-place halving is the same division.
+    """
+    h = np.conjugate(flipped, order="C")
+    h += a
+    h /= 2
+    return h
+
+
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     if a.shape[0] != a.shape[1]:
         return False
-    # a - a^dag in one C-ordered temporary, which keeps large checks (a
-    # channel's Choi matrix) cheap; the ufunc always allocates, where
-    # a.conj() of a real array would be a itself
-    gap = np.conjugate(a.T, order="C")
-    np.subtract(a, gap, out=gap)
-    return bool(np.max(np.abs(gap)) <= tol)
+    return _conj_gap(a, a.T) <= tol
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
@@ -108,7 +148,7 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
         raise NotPositiveError(f"{what}: matrix is not Hermitian")
     # symmetrize before a factorisation so that it reproduces the input
     # to working precision even when it carries ~1e-10 asymmetry noise
-    return (a + a.conj().T) / 2
+    return _conj_mean(a, a.T)
 
 
 def _spectrum_outside(
@@ -121,20 +161,34 @@ def _spectrum_outside(
     high*I - h, stacked into one call when both bounds are given; only
     when one fails does eigvalsh decide, so an input within rounding of
     a bound is accepted if its spectrum says so.
+
+    h must be a C-ordered buffer the caller owns: a one-sided check
+    shifts it in place and leaves it shifted when the factorisation
+    succeeds (it is restored exactly before eigvalsh runs).
     """
-    sides = []  # (sign, diagonal shift) of h - low*I and of high*I - h
-    if low is not None:
-        sides.append((1.0, -low))
-    if high is not None:
-        sides.append((-1.0, high))
     n = h.shape[0]
-    shifted = np.empty((len(sides), n, n), dtype=h.dtype)
-    for k, (sign, shift) in enumerate(sides):
-        np.multiply(h, sign, out=shifted[k])
-        shifted[k].reshape(n * n)[:: n + 1] += shift
+    if low is not None and high is not None:
+        shifted = np.empty((2, n, n), dtype=h.dtype)
+        shifted[0] = h
+        np.negative(h, out=shifted[1])
+        shifted[0].reshape(n * n)[:: n + 1] -= low
+        shifted[1].reshape(n * n)[:: n + 1] += high
+    else:
+        shifted = h
+        diag = h.reshape(n * n)[:: n + 1]
+        saved = diag.copy()
+        if high is not None:
+            np.negative(h, out=h)
+            diag += high
+        else:
+            diag -= low
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
+        if shifted is h:
+            if high is not None:
+                np.negative(h, out=h)
+            diag[...] = saved
         eigs = np.linalg.eigvalsh(h)
         if (low is not None and eigs.min() < low) or (
             high is not None and eigs.max() > high
@@ -152,7 +206,8 @@ def _checked_operator(
     when the spectrum of its symmetrised part lies in [-EIG_CLIP, high],
     else that spectrum for the caller's error message.
     """
-    m = as_matrix(mat).copy()
+    # one private C-ordered copy, taken before any check reads it
+    m = as_matrix(np.array(mat, dtype=np.complex128, order="C"))
     dims = check_dims(dims, m.shape[0])
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be square")
@@ -193,27 +248,30 @@ def _checked_channel(blocks, n: int, m: int, check_cp: bool) -> tuple[np.ndarray
     Returns a frozen complex copy and the unital flag: sum_k c[k, k] = I
     is unital, a sum below I sub-unital, any other sum is rejected.
     """
-    arr = np.asarray(blocks, dtype=np.complex128)
+    arr = np.array(blocks, dtype=np.complex128, order="C")  # the private copy
     if arr.shape != (m, m, n, n):
         raise DimensionError(f"blocks shape {arr.shape}, expected {(m, m, n, n)}")
     _require_finite(arr, "block entries")
-    # the Choi matrix is Hermitian exactly when c[l, k] = c[k, l]^dag
-    choi = np.transpose(arr, (0, 2, 1, 3)).reshape(m * n, m * n)
-    if not is_hermitian(choi):
+    # The Choi matrix choi[(k, i), (l, j)] = c[k, l][i, j] is
+    # arr.transpose(0, 2, 1, 3) flattened; it is Hermitian exactly when
+    # c[l, k] = c[k, l]^dag, and its conjugate transpose, as 4-d indices,
+    # is conj(arr.transpose(1, 3, 0, 2)).
+    if not _conj_gap(arr, arr.transpose(1, 0, 3, 2)) <= HERMITIAN_TOL:
         raise NotPositiveError("blocks break the hermiticity pattern")
     gap = np.einsum("kkij->ij", arr) - np.eye(n)
     unital = bool(np.max(np.abs(gap)) <= NORM_TOL)
     if not unital:
-        defect = (gap + gap.conj().T) / 2
+        defect = _conj_mean(gap, gap.T)
         if _spectrum_outside(defect, high=NORM_TOL) is not None:
             raise NotPositiveError("block diagonal sums above the identity")
     if check_cp:
-        eigs = _spectrum_outside((choi + choi.conj().T) / 2, low=-CP_TOL)
+        choi = _conj_mean(arr.transpose(0, 2, 1, 3), arr.transpose(1, 3, 0, 2))
+        eigs = _spectrum_outside(choi.reshape(m * n, m * n), low=-CP_TOL)
         if eigs is not None:
             raise NotPositiveError(
                 f"blocks are not completely positive ({eigs.min():.3e})"
             )
-    return _freeze(arr.copy()), unital
+    return _freeze(arr), unital
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -223,7 +281,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
         raise NotPositiveError(f"psd_sqrt: eigenvalue {w.min():.3e} below -{EIG_CLIP}")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    return _conj_mean(root, root.T)
 
 
 def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
@@ -235,7 +293,7 @@ def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
             "matrix is singular to working precision"
         )
     root = (v / np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    return _conj_mean(root, root.T)
 
 
 def check_dims(dims, flat: int | None = None) -> tuple[int, ...]:

@@ -34,6 +34,11 @@ Unital grids (sum_k c[k, k] = I) preserve truth and send states to
 states; assert maps are the canonical sub-unital example.
 
 Composite indices flatten row-major, matching numpy's kron.
+
+Values are immutable: each constructor validates a private copy of its
+input and freezes it (read-only arrays), and no method changes an
+object after that. So whatever is derived from a value may be stored on
+it; correspond.extract memoises a joint's disintegration that way.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class _Operator:
         return type(self)(np.kron(self.mat, other.mat), self.dims + other.dims)
 
     def transpose(self):
-        return type(self)(self.mat.T.copy(), self.dims)
+        return type(self)(self.mat.T, self.dims)
 
     def to_json(self) -> dict:
         d = matrix_to_json(self.mat)
@@ -99,7 +104,8 @@ class _Operator:
 class QState(_Operator):
     """Density matrix with a recorded component structure `dims`."""
 
-    __slots__ = ()
+    # _extracted: the joint's disintegration, memoised by correspond.extract
+    __slots__ = ("_extracted",)
     kind = "state"
 
     def __init__(self, mat, dims):

@@ -65,9 +65,14 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return (
-        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    ) / np.sqrt(2)
+    # real parts, then imaginary parts, from one draw; scaling by the
+    # reciprocal is what (re + 1j * im) / sqrt(2) computes, bit for bit
+    parts = rng.standard_normal((2, rows, cols))
+    g = np.empty((rows, cols), dtype=np.complex128)
+    scale = 1 / np.sqrt(2)
+    np.multiply(parts[0], scale, out=g.real)
+    np.multiply(parts[1], scale, out=g.imag)
+    return g
 
 
 def random_qstate(dims, rng: np.random.Generator) -> QState:
@@ -76,7 +81,9 @@ def random_qstate(dims, rng: np.random.Generator) -> QState:
     n = math.prod(dims)
     g = _ginibre(n, n, rng)
     rho = g @ g.conj().T
-    return QState(rho / np.trace(rho).real, dims)
+    del g  # room for the constructor's copies
+    rho /= np.trace(rho).real
+    return QState(rho, dims)
 
 
 def random_effect(dims, rng: np.random.Generator) -> Effect:

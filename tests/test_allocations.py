@@ -1,0 +1,58 @@
+"""Peak allocation of the joint-sized paths, in units of the joint's size.
+
+numpy reports its data buffers to tracemalloc, so the peak of one call
+counts every joint-sized temporary it holds at once, including the
+result it returns. The bounds sit just above the counts of the current
+code, at a 256x256 joint (dims 16, 16); a throwaway copy of the joint
+put back on any of these paths exceeds them.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qbayes import correspond as co
+from qbayes.quantum import QState
+from qbayes.verify import random_qstate
+
+DIMS = (16, 16)
+
+
+def _peak_in_joints(fn, nbytes: float) -> float:
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+        del result
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return (peak - base) / nbytes
+
+
+@pytest.fixture
+def rho():
+    mat = random_qstate(DIMS, np.random.default_rng(2)).mat
+    return np.array(mat)  # a plain writeable input, as a caller would pass
+
+
+def test_state_constructor(rho):
+    # the frozen copy, the symmetrised part and its Cholesky factor
+    assert _peak_in_joints(lambda: QState(rho, DIMS), rho.nbytes) <= 3.1
+
+
+def test_random_qstate(rho):
+    rng = np.random.default_rng(3)
+    # the Ginibre square and its Gram matrix next to the constructor's three
+    assert _peak_in_joints(lambda: random_qstate(DIMS, rng), rho.nbytes) <= 5.1
+
+
+def test_extract_on_a_fresh_joint(rho):
+    tau = QState(rho, DIMS)
+    # the GEMM buffer, the channel's private copy and its hermiticity gap
+    assert _peak_in_joints(lambda: co.extract(tau), rho.nbytes) <= 3.6

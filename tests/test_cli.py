@@ -58,6 +58,19 @@ class TestParsing:
     def test_missing_command_exits_with_usage_error(self):
         assert cli.main([]) == 2
 
+    def test_successive_calls_share_no_state(self, capsys):
+        code, out, _ = _run(
+            capsys, "verify", "--suite", "inference", "--trials", "2",
+            "--tol", "1e-3", "--json",
+        )
+        assert code == 0
+        assert {eq["tol"] for eq in json.loads(out)["equations"]} == {1e-3}
+        code, out, _ = _run(capsys, "verify", "--suite", "inference", "--trials", "2")
+        assert code == 0
+        assert out.startswith("suite=inference")
+        assert "tol=1e-09" in out and "tol=0.001" not in out
+        assert cli.parse_args(["verify", "--suite", "inference"]).tol is None
+
 
 class TestDemo:
     def test_text_output_and_exit_code(self, capsys):

@@ -5,6 +5,8 @@ extract invert it. Conditioning the joint on one-sided evidence and
 marginalizing must match the channel route through the extracted pair.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,61 @@ class TestProjectExtract:
         ket0 = Effect([[1, 0], [0, 0]], (2,))
         got = co.crossover_second(tau, ket0)
         np.testing.assert_allclose(got.mat, np.eye(2) / 2, atol=1e-12)
+
+
+class TestExtractMemo:
+    """extract disintegrates each joint once; the channel lives on the joint."""
+
+    @staticmethod
+    def _joint(seed, n=3, m=4):
+        rng = np.random.default_rng(seed)
+        return QState(_random_state(rng, n * m).mat, (n, m))
+
+    def test_matches_the_definition(self):
+        # extr(tau)[k, l] = sum_ij conj(<ik| tau |jl>) R |i><j| R
+        n, m = 3, 4
+        tau = self._joint(75, n, m)
+        root = np.linalg.inv(psd_sqrt(co.project(tau).mat))
+        t4 = tau.mat.reshape(n, m, n, m)
+        want = np.empty((m, m, n, n), dtype=complex)
+        for k in range(m):
+            for l in range(m):
+                want[k, l] = root @ np.conj(t4[:, k, :, l]) @ root
+        np.testing.assert_allclose(co.extract(tau).blocks, want, atol=1e-12)
+
+    def test_same_joint_same_channel(self):
+        tau = self._joint(76)
+        assert co.extract(tau) is co.extract(tau)
+
+    def test_memo_is_per_instance(self):
+        tau = self._joint(77)
+        twin = QState(tau.mat, tau.dims)
+        first, second = co.extract(tau), co.extract(twin)
+        assert first is not second
+        np.testing.assert_array_equal(first.blocks, second.blocks)
+
+    def test_failure_is_not_stored(self):
+        corner = QState(np.diag([1.0, 0.0]), (2,))
+        tau = QState(corner.tensor(QState.maximally_mixed((2,))).mat, (2, 2))
+        for _ in range(2):
+            with pytest.raises(SingularMarginalError):
+                co.extract(tau)
+
+    def test_both_directions_share_one_inverse_root(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            seen.append((np.shape(a)[-1], sys._getframe(1).f_code.co_name))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        n, m = 3, 4
+        rng = np.random.default_rng(78)
+        tau = self._joint(79, n, m)
+        co.inference_forward(tau, _random_effect(rng, n))
+        co.inference_backward(tau, _random_effect(rng, m))
+        assert seen.count((n, "psd_inv_sqrt")) == 1, seen
 
 
 class TestInferenceTheorem:

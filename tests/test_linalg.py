@@ -77,6 +77,62 @@ class TestPsdInvSqrt:
             linalg.psd_inv_sqrt(np.zeros((2, 2)))
 
 
+def _near_hermitian(rng, n, real=False):
+    """A Hermitian matrix carrying ~1e-11 of asymmetry noise."""
+    if real:
+        g = rng.standard_normal((n, n))
+        return g + g.T + 1e-11 * rng.standard_normal((n, n))
+    g = _rand_complex(rng, n, n)
+    return g + g.conj().T + 1e-11 * _rand_complex(rng, n, n)
+
+
+class TestSymmetrise:
+    @pytest.mark.parametrize(
+        "case", ["real", "complex", "fortran", "1x1", "256x256"]
+    )
+    def test_hermitian_part_is_the_textbook_mean_bit_for_bit(self, case):
+        rng = np.random.default_rng(11)
+        a = {
+            "real": lambda: _near_hermitian(rng, 7, real=True),
+            "complex": lambda: _near_hermitian(rng, 7),
+            "fortran": lambda: np.asfortranarray(_near_hermitian(rng, 7)),
+            "1x1": lambda: np.array([[2.0 + 3e-12j]]),
+            "256x256": lambda: _near_hermitian(rng, 256),
+        }[case]()
+        got = linalg._hermitian_part(a, "test")
+        want = (a + a.conj().T) / 2
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("bounds", [(-1e-10, None), (None, 1.0), (0.0, 1.0)])
+    def test_spectrum_outside_reports_the_unshifted_spectrum(self, bounds):
+        rng = np.random.default_rng(12)
+        h = linalg._hermitian_part(_near_hermitian(rng, 6), "test")
+        want = np.linalg.eigvalsh(h)
+        got = linalg._spectrum_outside(h.copy(), *bounds)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(300, 300), (6, 6, 7, 7), (1, 1)])
+    def test_blocked_gap_is_the_whole_gap(self, shape):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flipped = a.T if a.ndim == 2 else a.transpose(1, 0, 3, 2)
+        want = np.max(np.abs(a - np.conj(flipped)))
+        assert linalg._conj_gap(a, flipped) == want
+
+    def test_nan_anywhere_is_not_hermitian(self):
+        for where in [(0, 0), (299, 5), (150, 299)]:
+            a = np.eye(300, dtype=complex)
+            a[where] = np.nan
+            assert not linalg.is_hermitian(a), where
+
+    def test_spectrum_inside_is_certified(self):
+        h = np.diag([0.25, 0.5, 0.75]).astype(complex)
+        assert linalg._spectrum_outside(h.copy(), -1e-10) is None
+        assert linalg._spectrum_outside(h.copy(), None, 1.0) is None
+        assert linalg._spectrum_outside(h.copy(), -1e-10, 1.0) is None
+
+
 def _partial_trace_oracle(mat, dims, keep):
     """Plain-loop partial trace used as an independent oracle."""
     kept = [i for i, b in enumerate(keep) if b]
