@@ -13,7 +13,10 @@ Pairing and extraction are mutually inverse on full-support joints, which
 is what makes crossover inference (condition the joint, take a marginal)
 agree with channel-based inference (condition the prior, push forward).
 
-All values are immutable; every operation returns a fresh object.
+All values are immutable. Every operation returns a fresh object, except
+that extract memoises a joint's disintegration on the Dist: a later call
+on the same instance returns the same channel, and a failed one stores
+nothing.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ def _ket(space: Space, values: np.ndarray) -> str:
 class Dist:
     """A probability distribution over the outcomes of a Space."""
 
-    __slots__ = ("space", "probs")
+    # _extracted: the joint's disintegration, memoised by extract
+    __slots__ = ("space", "probs", "_extracted")
 
     def __init__(self, space: Space, probs):
         self.probs = _checked_entries(
@@ -312,6 +316,9 @@ def pair(omega: Dist, c: StochChannel) -> Dist:
 
 def extract(tau: Dist) -> StochChannel:
     """Disintegration of a two-component joint: t(x, y) / M1(t)(x)."""
+    chan = getattr(tau, "_extracted", None)
+    if chan is not None:
+        return chan
     if len(tau.space.components) != 2:
         raise DimensionError("extraction needs a two-component joint")
     xs, ys = tau.space.components
@@ -320,7 +327,8 @@ def extract(tau: Dist) -> StochChannel:
     for label, mass in zip(xs, m1):
         if mass <= ZERO_VALIDITY:
             raise SupportError(f"first marginal vanishes at label {label!r}")
-    return StochChannel(Space(xs), Space(ys), table / m1[:, None])
+    chan = tau._extracted = StochChannel(Space(xs), Space(ys), table / m1[:, None])
+    return chan
 
 
 def mixture(weights, dists: Sequence[Dist]) -> Dist:

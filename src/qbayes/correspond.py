@@ -27,12 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import psd_inv_sqrt, psd_sqrt
+from .linalg import psd_inv_sqrt
 from .quantum import (
     Effect,
     QChannel,
     QState,
     _evidence_validity,
+    _root_of,
     asrt,
     condition_upper,
 )
@@ -51,7 +52,7 @@ def pair(sigma: QState, c: QChannel) -> QState:
     if not c.unital:
         raise ValueError("pairing requires a unital channel")
     n, m = sigma.flat, c.out_flat
-    root = psd_sqrt(sigma.mat)
+    root = _root_of(sigma)
     # matmul broadcasts the sandwich over the leading (m, m) block axes
     inner = root @ c.blocks @ root
     mat = np.conj(np.transpose(inner, (2, 0, 3, 1))).reshape(n * m, n * m)
@@ -77,9 +78,12 @@ def pair_via_cup(sigma: QState, c: QChannel) -> QState:
 
 
 def project(tau: QState) -> QState:
-    """The transposed first marginal M1(tau)^T."""
-    _require_joint(tau)
-    return tau.marginal([1, 0]).transpose()
+    """The transposed first marginal M1(tau)^T, memoised on the joint."""
+    marg = getattr(tau, "_projected", None)
+    if marg is None:
+        _require_joint(tau)
+        marg = tau._projected = tau.marginal([1, 0]).transpose()
+    return marg
 
 
 def extract(tau: QState) -> QChannel:

@@ -14,6 +14,11 @@ then the range. A quantum channel is checked as its Choi matrix
 hermiticity pattern is that matrix being Hermitian, and complete
 positivity is that matrix being PSD.
 
+The Hermitian check of an operator conjugates it once: h = conj(a^T)
+is both what max |a - h| is measured against and, added to a in place
+and halved, the symmetrised part (a + a^dag) / 2 that the range check
+and the square roots go on to factor.
+
 A spectral range check (a state's PSD, an effect's 0 <= p <= I, a
 channel's complete positivity and sub-unitality) is decided by a
 Cholesky factorisation of the shifted matrix: h - low*I, and high*I - h
@@ -73,13 +78,16 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    mat = np.asarray(a, dtype=np.complex128)
+def _require_matrix(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {mat.shape}")
     _require_finite(mat, "matrix entries")
     return mat
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-d complex128 array."""
+    return _require_matrix(np.asarray(a, dtype=np.complex128))
 
 
 def fro_norm(a: np.ndarray) -> float:
@@ -97,32 +105,37 @@ def op_norm(a: np.ndarray) -> float:
 _GAP_BLOCK = 4096
 
 
-def _conj_gap(a: np.ndarray, flipped: np.ndarray) -> float:
-    """max |a - conj(flipped)| for a view `flipped` of a's transpose.
+def _blockwise_max(gap, a: np.ndarray, b: np.ndarray) -> float:
+    """The largest gap(a[rows], b[rows]) over row blocks of a and b.
 
     A large check (a joint state, a channel's Choi matrix) runs in
     blocks of about _GAP_BLOCK entries along the first axis, so that it
     reuses a few small buffers instead of first-touching a fresh
-    joint-sized one.
+    joint-sized one; a check no larger than one block runs whole.
     """
-    rows = a.shape[0]
-    step = max(1, _GAP_BLOCK * rows // max(a.size, 1))
-    if step >= rows:
-        return _block_gap(a, flipped)
+    if a.size <= _GAP_BLOCK:
+        return gap(a, b)
+    step = max(1, _GAP_BLOCK * a.shape[0] // a.size)
     return float(
-        np.max([
-            _block_gap(a[r : r + step], flipped[r : r + step])
-            for r in range(0, rows, step)
-        ])
+        np.max([gap(a[r : r + step], b[r : r + step]) for r in range(0, a.shape[0], step)])
     )
 
 
-def _block_gap(a: np.ndarray, flipped: np.ndarray) -> float:
+def _diff_gap(a: np.ndarray, h: np.ndarray) -> float:
+    return float(np.abs(a - h).max())
+
+
+def _flipped_gap(a: np.ndarray, flipped: np.ndarray) -> float:
     # one C-ordered temporary; the ufunc always allocates, where
     # a.conj() of a real array would be a itself
     gap = np.conjugate(flipped, order="C")
     np.subtract(a, gap, out=gap)
-    return float(np.max(np.abs(gap)))
+    return float(np.abs(gap).max())
+
+
+def _conj_gap(a: np.ndarray, flipped: np.ndarray) -> float:
+    """max |a - conj(flipped)| for a view `flipped` of a's transpose."""
+    return _blockwise_max(_flipped_gap, a, flipped)
 
 
 def _conj_mean(a: np.ndarray, flipped: np.ndarray) -> np.ndarray:
@@ -144,11 +157,21 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
-    if not is_hermitian(a):
+    """(a + a^dag) / 2 in one fresh C-ordered array, once a is Hermitian.
+
+    Symmetrised before a factorisation so that it reproduces the input
+    to working precision even when it carries ~1e-10 asymmetry noise.
+    The one conjugated copy h = conj(a^T) serves the check and the mean,
+    which is then _conj_mean(a, a.T) bit for bit.
+    """
+    if a.shape[0] != a.shape[1]:
         raise NotPositiveError(f"{what}: matrix is not Hermitian")
-    # symmetrize before a factorisation so that it reproduces the input
-    # to working precision even when it carries ~1e-10 asymmetry noise
-    return _conj_mean(a, a.T)
+    h = np.conjugate(a.T, order="C")
+    if not _blockwise_max(_diff_gap, a, h) <= HERMITIAN_TOL:
+        raise NotPositiveError(f"{what}: matrix is not Hermitian")
+    h += a
+    h /= 2
+    return h
 
 
 def _spectrum_outside(
@@ -207,7 +230,7 @@ def _checked_operator(
     else that spectrum for the caller's error message.
     """
     # one private C-ordered copy, taken before any check reads it
-    m = as_matrix(np.array(mat, dtype=np.complex128, order="C"))
+    m = _require_matrix(np.array(mat, dtype=np.complex128, order="C"))
     dims = check_dims(dims, m.shape[0])
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be square")
@@ -234,7 +257,13 @@ def _checked_entries(values, shape: tuple[int, ...], what: str, stochastic: bool
             f"{what} span [{arr.min():.3e}, {arr.max():.3e}], "
             f"outside [0, {high or 'inf'}]"
         )
-    arr = np.clip(arr, 0.0, high)
+    # np.clip(arr, 0.0, high) bit for bit, -0.0 included, in a fresh
+    # array; the operand order is what np.clip's loops use
+    if high is None:
+        arr = np.maximum(arr, 0.0)
+    else:
+        arr = np.minimum(arr, high)
+        np.maximum(0.0, arr, out=arr)
     if stochastic:
         sums = arr.sum(axis=-1)
         if abs(sums - 1.0).max() > NORM_TOL:
@@ -279,7 +308,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(_hermitian_part(a, "psd_sqrt"))
     if w.min() < -EIG_CLIP:
         raise NotPositiveError(f"psd_sqrt: eigenvalue {w.min():.3e} below -{EIG_CLIP}")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # np.clip(w, 0.0, None) bit for bit
     root = (v * np.sqrt(w)) @ v.conj().T
     return _conj_mean(root, root.T)
 

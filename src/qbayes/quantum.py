@@ -38,7 +38,15 @@ Composite indices flatten row-major, matching numpy's kron.
 Values are immutable: each constructor validates a private copy of its
 input and freezes it (read-only arrays), and no method changes an
 object after that. So whatever is derived from a value may be stored on
-it; correspond.extract memoises a joint's disintegration that way.
+it, computed on first use and frozen:
+
+- the principal square root of a state or an effect, which both
+  conditionings, andthen, asrt and correspond.pair take;
+- a joint's projection proj(tau), stored by correspond.project;
+- a joint's disintegration extr(tau), stored by correspond.extract.
+
+A memo lives on the instance, never in a table keyed by value, and a
+computation that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ from .linalg import (
     ZERO_VALIDITY,
     _checked_channel,
     _checked_operator,
+    _freeze,
     as_matrix,
     check_dims,
     matrix_from_json,
@@ -72,7 +81,8 @@ class _Operator:
     are still accepted.
     """
 
-    __slots__ = ("mat", "dims")
+    # _root: the principal square root, memoised by _root_of
+    __slots__ = ("mat", "dims", "_root")
 
     @property
     def flat(self) -> int:
@@ -104,15 +114,15 @@ class _Operator:
 class QState(_Operator):
     """Density matrix with a recorded component structure `dims`."""
 
-    # _extracted: the joint's disintegration, memoised by correspond.extract
-    __slots__ = ("_extracted",)
+    # memoised by correspond: the joint's disintegration and projection
+    __slots__ = ("_extracted", "_projected")
     kind = "state"
 
     def __init__(self, mat, dims):
         self.mat, self.dims, eigs = _checked_operator(mat, dims, "state")
         if eigs is not None:
             raise NotPositiveError(f"state has eigenvalue {eigs.min():.3e}")
-        tr = float(np.trace(self.mat).real)
+        tr = float(self.mat.trace().real)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"state has trace {tr!r}, not 1")
 
@@ -280,6 +290,19 @@ class QChannel:
         return f"QChannel({self.in_dims} -> {self.out_dims}, {kind})"
 
 
+def _root_of(x: _Operator) -> np.ndarray:
+    """The principal square root of a state's or effect's matrix, frozen.
+
+    Computed on the first call and stored on the value, which is
+    immutable, so every later call on the same instance returns the
+    same array.
+    """
+    root = getattr(x, "_root", None)
+    if root is None:
+        root = x._root = _freeze(psd_sqrt(x.mat))
+    return root
+
+
 def _same_dims(a, b) -> None:
     if a.dims != b.dims:
         raise DimensionError(f"dims mismatch: {a.dims} vs {b.dims}")
@@ -318,27 +341,27 @@ def andthen(p: Effect, q: Effect) -> Effect:
     general, which is what blocks a naive successive-conditioning law.
     """
     _same_dims(p, q)
-    root = psd_sqrt(p.mat)
+    root = _root_of(p)
     return Effect(root @ q.mat @ root, p.dims)
 
 
 def condition_lower(sigma: QState, p: Effect) -> QState:
     """sigma|_p = sqrt(p) sigma sqrt(p) / validity. Product-rule form."""
     v = _evidence_validity(sigma, p)
-    root = psd_sqrt(p.mat)
+    root = _root_of(p)
     return QState(root @ sigma.mat @ root / v, sigma.dims)
 
 
 def condition_upper(sigma: QState, p: Effect) -> QState:
     """sigma|^p = sqrt(sigma) p sqrt(sigma) / validity. Bayes-rule form."""
     v = _evidence_validity(sigma, p)
-    root = psd_sqrt(sigma.mat)
+    root = _root_of(sigma)
     return QState(root @ p.mat @ root / v, sigma.dims)
 
 
 def asrt(p: Effect) -> QChannel:
     """Assert map of p: blocks sqrt(p) |k><l| sqrt(p); unital iff p = I."""
-    return QChannel.from_kraus([psd_sqrt(p.mat)], p.dims, p.dims)
+    return QChannel.from_kraus([_root_of(p)], p.dims, p.dims)
 
 
 def cup(n: int) -> QState:

@@ -64,14 +64,25 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 # random instance generators
 
 
+# Normals per piece of a Ginibre draw: 32 KiB of float64, a buffer the
+# allocator reuses rather than a fresh matrix-sized one.
+_DRAW_BLOCK = 4096
+
+
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    # real parts, then imaginary parts, from one draw; scaling by the
-    # reciprocal is what (re + 1j * im) / sqrt(2) computes, bit for bit
-    parts = rng.standard_normal((2, rows, cols))
+    # the real parts, then the imaginary parts, as one (2, rows, cols)
+    # draw would give them: a Generator yields the same stream drawn in
+    # pieces. Scaling by the reciprocal is what (re + 1j * im) / sqrt(2)
+    # computes, bit for bit.
     g = np.empty((rows, cols), dtype=np.complex128)
+    size = rows * cols
+    buf = np.empty(min(size, _DRAW_BLOCK))
     scale = 1 / np.sqrt(2)
-    np.multiply(parts[0], scale, out=g.real)
-    np.multiply(parts[1], scale, out=g.imag)
+    for part in (g.real.reshape(size), g.imag.reshape(size)):
+        for start in range(0, size, buf.size):
+            piece = buf[: size - start]
+            rng.standard_normal(out=piece)
+            np.multiply(piece, scale, out=part[start : start + piece.size])
     return g
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qbayes import cli
+from qbayes import cli, verify
 from qbayes.classical import Dist, Space, StochChannel
 from qbayes.quantum import Effect, QChannel, QState
 
@@ -168,6 +168,25 @@ class TestWitnessCommand:
         payload = json.loads(out)
         assert payload["frobenius_distance"] == pytest.approx(1.0, abs=1e-10)
         assert "state" in payload and "cond_p_then_q" in payload
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_boundary_rule_is_the_suites_strict_rule(self, monkeypatch, capsys, json_flag):
+        # put the distance's gap |d - 1| exactly on the tolerance: the
+        # command and the witnesses suite's fixed-witness equation must
+        # both fail there, and both pass one ulp above it
+        pq, qp, _ = verify._conditioning_orders(*verify.fixed_witness())
+        dist = 1.0 + 2 * verify.FIXED_WITNESS_TOL
+        edge = abs(dist - 1.0)
+        orders = lambda *args: (pq, qp, dist)  # noqa: E731
+        monkeypatch.setattr(cli, "_conditioning_orders", orders)
+        monkeypatch.setattr(verify, "_conditioning_orders", orders)
+        for tol, code in [(edge, 1), (np.nextafter(edge, 1.0), 0)]:
+            monkeypatch.setattr(cli, "FIXED_WITNESS_TOL", tol)
+            assert _run(capsys, "witness", *json_flag)[0] == code
+            report = verify.run_suite("witnesses", trials=1, dims=(2,), tol=tol)
+            (fixed,) = [e for e in report.equations if e.name == "noncommute-fixed-witness"]
+            assert fixed.max_dev == edge
+            assert fixed.passed is (code == 0)
 
 
 class TestInspectCommand:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qbayes import linalg
+from qbayes.classical import Dist, FuzzyPred, Space, StochChannel
 from qbayes.errors import DimensionError, NotPositiveError, SingularMarginalError
+from qbayes.quantum import Effect, QChannel, QState
 
 
 def _rand_complex(rng, rows, cols):
@@ -225,3 +227,127 @@ class TestJson:
         d["cols"] = 3
         with pytest.raises(DimensionError):
             linalg.matrix_from_json(d)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFusedChecks:
+    """One conjugated copy, np.maximum/np.minimum clips: same bits as before."""
+
+    @pytest.mark.parametrize("n", [64, 65, 128])
+    def test_hermitian_part_at_and_above_one_block(self, n):
+        # 64x64 is exactly _GAP_BLOCK entries, checked whole; above it the
+        # gap runs in row blocks
+        assert 64 * 64 == linalg._GAP_BLOCK
+        a = _near_hermitian(np.random.default_rng(n), n)
+        got = linalg._hermitian_part(a, "test")
+        np.testing.assert_array_equal(_bits(got), _bits((a + a.conj().T) / 2))
+        gap = linalg._blockwise_max(linalg._diff_gap, a, a.conj().T)
+        assert gap == np.max(np.abs(a - a.conj().T))
+
+    @pytest.mark.parametrize("where", [(0, 1), (70, 3), (127, 126)])
+    def test_hermitian_part_rejects_a_gap_in_any_block(self, where):
+        a = np.eye(128, dtype=complex)
+        a[where] = 2 * linalg.HERMITIAN_TOL
+        with pytest.raises(NotPositiveError, match="^test: matrix is not Hermitian$"):
+            linalg._hermitian_part(a, "test")
+
+    @pytest.mark.parametrize("stochastic", [True, False])
+    def test_entry_clip_is_np_clip_bit_for_bit(self, stochastic):
+        tiny = linalg.PROB_CLIP
+        if stochastic:
+            values = np.array([-0.0, 0.0, -tiny, 0.25, 0.75 + tiny, -tiny / 2])
+        else:
+            values = np.array([-0.0, 0.0, -tiny, 1.0 + tiny, 1.0, 0.5, -tiny / 2])
+        got = linalg._checked_entries(values, values.shape, "v", stochastic)
+        want = np.clip(values, 0.0, None if stochastic else 1.0)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+    def test_psd_sqrt_clip_is_np_clip_bit_for_bit(self, monkeypatch):
+        # eigenvalues on the EIG_CLIP edge (accepted, clipped) and a -0.0
+        w = np.array([-linalg.EIG_CLIP, -0.0, 0.0, 0.25])
+        rng = np.random.default_rng(31)
+        v, _ = np.linalg.qr(_rand_complex(rng, 4, 4))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (w.copy(), v))
+        got = linalg.psd_sqrt(np.eye(4))
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        want = (root + root.conj().T) / 2
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+_SP = Space(["a", "b"])
+# the identity channel's blocks |k><l|
+_IDENT = np.einsum("ki,lj->klij", np.eye(2), np.eye(2)).astype(complex)
+
+# value type: (caller's array, constructor, attribute holding the copy)
+_VALUES = {
+    "QState": (np.diag([0.25, 0.75]), lambda a: QState(a, (2,)), "mat"),
+    "Effect": (np.diag([0.25, 0.75]), lambda a: Effect(a, (2,)), "mat"),
+    "QChannel": (_IDENT, lambda a: QChannel(a, (2,), (2,)), "blocks"),
+    "Dist": (np.array([0.25, 0.75]), lambda a: Dist(_SP, a), "probs"),
+    "FuzzyPred": (np.array([0.25, 0.75]), lambda a: FuzzyPred(_SP, a), "values"),
+    "StochChannel": (
+        np.array([[0.25, 0.75], [1.0, 0.0]]),
+        lambda a: StochChannel(_SP, _SP, a),
+        "matrix",
+    ),
+}
+
+_FINITE = "matrix entries must be finite"
+_BAD_INPUTS = [
+    (lambda: QState([[np.nan, 0], [0, 1]], (2,)), ValueError, _FINITE),
+    (lambda: QState([[np.inf, 0], [0, 1]], (2,)), ValueError, _FINITE),
+    (lambda: QState(np.zeros((2, 3)), (2,)), DimensionError, "state must be square"),
+    (
+        lambda: QState(np.zeros((2, 2, 2)), (2,)),
+        DimensionError,
+        "expected a 2-d matrix, got shape (2, 2, 2)",
+    ),
+    (lambda: Effect([[np.nan, 0], [0, 1]], (2,)), ValueError, _FINITE),
+    (lambda: Effect(np.zeros((2, 3)), (2,)), DimensionError, "effect must be square"),
+    (
+        lambda: linalg.psd_sqrt(np.zeros((2, 3))),
+        NotPositiveError,
+        "psd_sqrt: matrix is not Hermitian",
+    ),
+    (
+        lambda: linalg.psd_inv_sqrt(np.zeros((2, 3))),
+        NotPositiveError,
+        "psd_inv_sqrt: matrix is not Hermitian",
+    ),
+    (
+        lambda: QChannel(np.full((2, 2, 2, 2), np.nan), (2,), (2,)),
+        ValueError,
+        "block entries must be finite",
+    ),
+    (lambda: Dist(_SP, [np.inf, 1]), ValueError, "probabilities must be finite"),
+    (
+        lambda: StochChannel(_SP, _SP, [[np.inf, 0], [0, 1]]),
+        ValueError,
+        "channel rows must be finite",
+    ),
+    (lambda: linalg.as_matrix([[np.nan]]), ValueError, _FINITE),
+]
+
+
+class TestPrivateCopies:
+    @pytest.mark.parametrize("kind", sorted(_VALUES))
+    def test_caller_array_stays_writable_and_detached(self, kind):
+        arr, make, attr = _VALUES[kind]
+        arr = arr.copy()
+        held = getattr(make(arr), attr)
+        before = held.copy()
+        assert arr.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(arr, held)
+        arr[...] = 0.0
+        np.testing.assert_array_equal(held, before)
+
+    @pytest.mark.parametrize("build, error, message", _BAD_INPUTS)
+    def test_bad_input_keeps_its_exact_message(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message

@@ -37,6 +37,19 @@ class TestGenerators:
             c.pull(Effect.truth((4,))).mat, np.eye(3), atol=1e-10
         )
 
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (5, 5), (16, 16), (256, 256), (75, 5)])
+    def test_ginibre_is_one_split_draw_bit_for_bit(self, rows, cols):
+        # drawn in pieces, the stream is that of one (2, rows, cols) draw:
+        # real parts first, then imaginary parts, and the next draw after
+        rng, ref = verify.trial_rng(3, 0), verify.trial_rng(3, 0)
+        got = verify._ginibre(rows, cols, rng)
+        parts = ref.standard_normal((2, rows, cols))
+        want = np.empty((rows, cols), dtype=complex)
+        want.real = parts[0] * (1 / np.sqrt(2))
+        want.imag = parts[1] * (1 / np.sqrt(2))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.uniform() == ref.uniform()
+
     def test_classical_generators(self):
         rng = verify.trial_rng(7, 2)
         sp = verify.labeled_space("x", 5)
@@ -49,6 +62,23 @@ class TestGenerators:
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# perfbench's round_seed(104, 3770): round 3770 of pair-extract-mid run
+# with seed 104, a round that faster code reaches within a timed run
+KNOWN_FAIL_SEED = 8239220397667315362
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: extract-of-pair reads 1.82e-9 against tol 1e-9; the "
+        "prior has condition number 5.1e7, inside INV_CUTOFF"
+    ),
+)
+def test_pair_extract_known_fail_seed():
+    report = verify.run_suite("pair-extract", trials=3, seed=KNOWN_FAIL_SEED, dims=(5, 5))
+    assert report.all_pass, [e.name for e in report.equations if not e.passed]
 
 
 class TestRunSuite:
