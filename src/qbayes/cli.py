@@ -16,7 +16,7 @@ import numpy as np
 from . import classical as cl
 from .classical import Dist, FuzzyPred, Space, StochChannel
 from .errors import DimensionError
-from .linalg import IMAG_PRINT_TOL, matrix_from_json
+from .linalg import IMAG_PRINT_TOL, check_dims, matrix_from_json
 from .quantum import Effect, QChannel, QState
 from .verify import (
     FIXED_WITNESS_TOL,
@@ -76,12 +76,9 @@ def _positive_tol(text: str) -> float:
 
 def _dims_list(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return check_dims(text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError("dims entries must be >= 1")
-    return dims
+        raise argparse.ArgumentTypeError(f"bad dims {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

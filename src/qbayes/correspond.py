@@ -45,13 +45,18 @@ def _require_joint(tau: QState) -> tuple[int, int]:
     return tau.dims
 
 
-def pair(sigma: QState, c: QChannel) -> QState:
-    """Combine a prior on H with a unital channel H -> K into a joint."""
+def _require_pairable(sigma: QState, c: QChannel) -> tuple[int, int]:
+    """The flat sizes (n, m) of a prior on H and a unital channel H -> K."""
     if sigma.flat != c.in_flat:
         raise DimensionError(f"state dim {sigma.flat} vs channel domain {c.in_flat}")
     if not c.unital:
         raise ValueError("pairing requires a unital channel")
-    n, m = sigma.flat, c.out_flat
+    return sigma.flat, c.out_flat
+
+
+def pair(sigma: QState, c: QChannel) -> QState:
+    """Combine a prior on H with a unital channel H -> K into a joint."""
+    n, m = _require_pairable(sigma, c)
     root = _root_of(sigma)
     # matmul broadcasts the sandwich over the leading (m, m) block axes
     inner = root @ c.blocks @ root
@@ -67,11 +72,7 @@ def pair_via_cup(sigma: QState, c: QChannel) -> QState:
     (A (x) c) >> sum_ij |ii><jj| = sum_ij (A >> |i><j|) (x) (c >> |i><j|),
     A = asrt(sigma^T), not pair's sqrt(sigma) c sqrt(sigma) sandwich.
     """
-    if sigma.flat != c.in_flat:
-        raise DimensionError(f"state dim {sigma.flat} vs channel domain {c.in_flat}")
-    if not c.unital:
-        raise ValueError("pairing requires a unital channel")
-    n, m = sigma.flat, c.out_flat
+    n, m = _require_pairable(sigma, c)
     gate = asrt(Effect(sigma.mat.T, (n,)))
     raw = np.einsum("baji,lkji->akbl", gate.blocks, c.blocks)
     return QState(raw.reshape(n * m, n * m), (n, m))

@@ -14,6 +14,10 @@ then the range. A quantum channel is checked as its Choi matrix
 hermiticity pattern is that matrix being Hermitian, and complete
 positivity is that matrix being PSD.
 
+Hermiticity is one gap and one symmetriser: `_conj_gap` measures
+max |a - conj(flipped)| for a transposed view `flipped` of a (an
+operator's a^T, or the block-swapped view that is a channel's Choi
+matrix transposed), and `_conj_mean` forms (a + conj(flipped)) / 2.
 The Hermitian check of an operator conjugates it once: h = conj(a^T)
 is both what max |a - h| is measured against and, added to a in place
 and halved, the symmetrised part (a + a^dag) / 2 that the range check
@@ -105,55 +109,52 @@ def op_norm(a: np.ndarray) -> float:
 _GAP_BLOCK = 4096
 
 
-def _blockwise_max(gap, a: np.ndarray, b: np.ndarray) -> float:
-    """The largest gap(a[rows], b[rows]) over row blocks of a and b.
+def _conj_gap(
+    a: np.ndarray, flipped: np.ndarray, out: np.ndarray | None = None
+) -> float:
+    """max |a - conj(flipped)| for a view `flipped` of a's transpose.
 
-    A large check (a joint state, a channel's Choi matrix) runs in
-    blocks of about _GAP_BLOCK entries along the first axis, so that it
-    reuses a few small buffers instead of first-touching a fresh
-    joint-sized one; a check no larger than one block runs whole.
+    With `out`, a C-ordered array of a's shape, conj(flipped) is written
+    there and left for the caller. A check larger than _GAP_BLOCK
+    entries (a joint state, a channel's Choi matrix) is the worst of its
+    row blocks' checks, so that it reuses a few small buffers instead of
+    first-touching a fresh joint-sized one. A NaN in any block makes the
+    gap NaN.
     """
-    if a.size <= _GAP_BLOCK:
-        return gap(a, b)
-    step = max(1, _GAP_BLOCK * a.shape[0] // a.size)
-    return float(
-        np.max([gap(a[r : r + step], b[r : r + step]) for r in range(0, a.shape[0], step)])
-    )
+    if a.size > _GAP_BLOCK and a.shape[0] > 1:
+        step = max(1, _GAP_BLOCK * a.shape[0] // a.size)
+        worst = 0.0
+        for r in range(0, a.shape[0], step):
+            rows = slice(r, r + step)
+            g = _conj_gap(a[rows], flipped[rows], None if out is None else out[rows])
+            if g > worst or g != g:
+                worst = g
+        return worst
+    if out is None:
+        # the ufunc always allocates, where a.conj() of a real array
+        # would be a itself
+        diff = np.conjugate(flipped, order="C")
+        np.subtract(a, diff, out=diff)
+    else:
+        diff = a - np.conjugate(flipped, out)
+    return float(np.abs(diff).max())
 
 
-def _diff_gap(a: np.ndarray, h: np.ndarray) -> float:
-    return float(np.abs(a - h).max())
-
-
-def _flipped_gap(a: np.ndarray, flipped: np.ndarray) -> float:
-    # one C-ordered temporary; the ufunc always allocates, where
-    # a.conj() of a real array would be a itself
-    gap = np.conjugate(flipped, order="C")
-    np.subtract(a, gap, out=gap)
-    return float(np.abs(gap).max())
-
-
-def _conj_gap(a: np.ndarray, flipped: np.ndarray) -> float:
-    """max |a - conj(flipped)| for a view `flipped` of a's transpose."""
-    return _blockwise_max(_flipped_gap, a, flipped)
-
-
-def _conj_mean(a: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+def _conj_mean(
+    a: np.ndarray, flipped: np.ndarray, h: np.ndarray | None = None
+) -> np.ndarray:
     """(a + conj(flipped)) / 2 in one fresh C-ordered array.
 
-    With flipped = a.T this is (a + a.conj().T) / 2 bit for bit: the sum
-    commutes exactly and the in-place halving is the same division.
+    `h`, when given, already holds conj(flipped), as _conj_gap leaves it
+    in `out`, and becomes the result. With flipped = a.T this is
+    (a + a.conj().T) / 2 bit for bit: the sum commutes exactly and the
+    in-place halving is the same division.
     """
-    h = np.conjugate(flipped, order="C")
+    if h is None:
+        h = np.conjugate(flipped, order="C")
     h += a
     h /= 2
     return h
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    if a.shape[0] != a.shape[1]:
-        return False
-    return _conj_gap(a, a.T) <= tol
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
@@ -161,17 +162,12 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
 
     Symmetrised before a factorisation so that it reproduces the input
     to working precision even when it carries ~1e-10 asymmetry noise.
-    The one conjugated copy h = conj(a^T) serves the check and the mean,
-    which is then _conj_mean(a, a.T) bit for bit.
+    The one conjugated copy conj(a^T) serves the check and the mean.
     """
-    if a.shape[0] != a.shape[1]:
+    h = np.empty(a.shape, dtype=a.dtype)
+    if a.shape[0] != a.shape[1] or not _conj_gap(a, a.T, h) <= HERMITIAN_TOL:
         raise NotPositiveError(f"{what}: matrix is not Hermitian")
-    h = np.conjugate(a.T, order="C")
-    if not _blockwise_max(_diff_gap, a, h) <= HERMITIAN_TOL:
-        raise NotPositiveError(f"{what}: matrix is not Hermitian")
-    h += a
-    h /= 2
-    return h
+    return _conj_mean(a, a.T, h)
 
 
 def _spectrum_outside(

@@ -61,6 +61,7 @@ from .linalg import (
     EIG_CLIP,
     NORM_TOL,
     ZERO_VALIDITY,
+    _check_mask,
     _checked_channel,
     _checked_operator,
     _freeze,
@@ -127,23 +128,17 @@ class QState(_Operator):
             raise ValueError(f"state has trace {tr!r}, not 1")
 
     @classmethod
-    def from_vector(cls, v, dims) -> "QState":
-        vec = np.asarray(v, dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise ValueError("zero vector")
-        vec = vec / nrm
-        return cls(np.outer(vec, vec.conj()), dims)
-
-    @classmethod
     def maximally_mixed(cls, dims) -> "QState":
         dims = check_dims(dims)
         n = math.prod(dims)
         return cls(np.eye(n) / n, dims)
 
     def marginal(self, mask) -> "QState":
-        kept = tuple(d for d, b in zip(self.dims, mask) if int(b))
-        return QState(partial_trace(self.mat, self.dims, mask), kept)
+        bits = _check_mask(mask, len(self.dims))
+        kept = tuple(d for d, b in zip(self.dims, bits) if b)
+        if not kept:
+            raise DimensionError("marginal mask keeps no component")
+        return QState(partial_trace(self.mat, self.dims, bits), kept)
 
 
 class Effect(_Operator):
@@ -243,15 +238,6 @@ class QChannel:
             raise DimensionError("matrix does not match the domain")
         return np.einsum("lkij,ji->kl", self.blocks, mat)
 
-    def then(self, d: "QChannel") -> "QChannel":
-        """Composite running self first, then d."""
-        if self.out_dims != d.in_dims:
-            raise DimensionError(
-                f"cannot chain {self.out_dims} into {d.in_dims}"
-            )
-        blocks = np.einsum("uvkl,klij->uvij", d.blocks, self.blocks)
-        return QChannel(blocks, self.in_dims, d.out_dims)
-
     def tensor(self, other: "QChannel") -> "QChannel":
         # np.kron on the 4-d block arrays is exactly blockwise Kronecker.
         # The CP check is skipped: the Choi matrix of self (x) other is a
@@ -327,11 +313,6 @@ def _evidence_validity(sigma: QState, p: Effect) -> float:
     if v <= ZERO_VALIDITY:
         raise ZeroValidityError(f"evidence has validity {v:.3e}")
     return v
-
-
-def orthosupplement(p: Effect) -> Effect:
-    """The negation I - p."""
-    return Effect(np.eye(p.flat) - p.mat, p.dims)
 
 
 def andthen(p: Effect, q: Effect) -> Effect:

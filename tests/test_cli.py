@@ -41,10 +41,13 @@ class TestParsing:
     def test_zero_trials_exits_with_usage_error(self):
         assert cli.main(["verify", "--suite", "inference", "--trials", "0"]) == 2
 
-    def test_malformed_dims_exits_with_usage_error(self):
-        assert (
-            cli.main(["verify", "--suite", "inference", "--dims", "3,x"]) == 2
-        )
+    @pytest.mark.parametrize("dims", ["3,x", "0,3", "", "3,,5"])
+    def test_malformed_dims_exits_with_usage_error(self, capsys, dims):
+        code, out, err = _run(capsys, "verify", "--suite", "inference", "--dims", dims)
+        assert code == 2
+        assert out == ""
+        assert "verify: error: argument --dims" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_unusable_tol_exits_with_usage_error(self, capsys, tol):

@@ -311,6 +311,12 @@ def _generic_first(tau, q):
     return qu.condition_lower(tau, wide).marginal([1, 0])
 
 
+def _projector(v):
+    """The rank-1 projector onto the span of a nonzero vector."""
+    v = v.reshape(-1) / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 class TestFactorwiseKernels:
     """The structured kernels against the generic formulas they replace."""
 
@@ -327,8 +333,8 @@ class TestFactorwiseKernels:
         if evidence == "random":
             p, q = _random_effect(rng, n), _random_effect(rng, m)
         else:
-            p = Effect(QState.from_vector(_ginibre(rng, n, 1), (n,)).mat, (n,))
-            q = Effect(QState.from_vector(_ginibre(rng, m, 1), (m,)).mat, (m,))
+            p = Effect(_projector(_ginibre(rng, n, 1)), (n,))
+            q = Effect(_projector(_ginibre(rng, m, 1)), (m,))
         np.testing.assert_allclose(
             co.crossover_second(tau, p).mat, _generic_second(tau, p).mat, atol=1e-12
         )
