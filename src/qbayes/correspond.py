@@ -32,7 +32,7 @@ from .quantum import (
     Effect,
     QChannel,
     QState,
-    _evidence_validity,
+    _born,
     _root_of,
     asrt,
     condition_upper,
@@ -74,7 +74,10 @@ def pair_via_cup(sigma: QState, c: QChannel) -> QState:
     """
     n, m = _require_pairable(sigma, c)
     gate = asrt(Effect(sigma.mat.T, (n,)))
-    raw = np.einsum("baji,lkji->akbl", gate.blocks, c.blocks)
+    # raw[a, k, b, l] = sum_ij gate[b, a, j, i] c[l, k, j, i]: one GEMM
+    # over the flattened (j, i) axis gives [(b, a), (l, k)], then a transpose
+    prod = gate.blocks.reshape(n * n, n * n) @ c.blocks.reshape(m * m, n * n).T
+    raw = prod.reshape(n, n, m, m).transpose(1, 3, 0, 2)
     return QState(raw.reshape(n * m, n * m), (n, m))
 
 
@@ -133,17 +136,26 @@ def _require_side(tau: QState, p: Effect, side: int) -> tuple[int, int]:
 
 # The crossovers never form the conditioned joint: with R = sqrt(p),
 # R (x) 1 acts only on the factor traced out, so it cycles under the
-# partial trace, tr_1[(R (x) 1) tau (R (x) 1)] = tr_1[(p (x) 1) tau], and
-# v = tr(tau (p (x) 1)) = tr(M1(tau) p). This is lower conditioning only:
-# the upper one's marginal keeps sqrt(tau), the root of the whole joint.
+# partial trace, tr_1[(R (x) 1) tau (R (x) 1)] = tr_1[(p (x) 1) tau]. The
+# validity is the trace of that unnormalized posterior,
+# tr(tau (p (x) 1)) = tr(M1(tau) p). Each contraction runs as one batch of
+# matrix-vector products over the joint's (n, m, n, m) view, one per pair
+# of row indices, and the results are summed over the conditioned
+# component's row index, so the largest temporary is 1/n (or 1/m) of the
+# joint. This is lower conditioning only: the upper one's marginal keeps
+# sqrt(tau), the root of the whole joint.
 
 
 def crossover_second(tau: QState, p: Effect) -> QState:
-    """Condition the joint on p (x) 1, keep the second component."""
+    """Condition the joint on p (x) 1, keep the second component.
+
+    post[k, l] = sum_ia p[i, a] tau[(a, k), (i, l)], divided by its own
+    trace, the validity of p in M1(tau).
+    """
     n, m = _require_side(tau, p, 0)
-    v = _evidence_validity(tau.marginal([1, 0]), p)
-    post = np.einsum("ia,akil->kl", p.mat, tau.mat.reshape(n, m, n, m))
-    return QState(post / v, (m,))
+    rows = p.mat.T.reshape(n, 1, 1, n)  # [a, -, -, i]
+    post = (rows @ tau.mat.reshape(n, m, n, m)).sum(axis=0).reshape(m, m)
+    return QState(post / _born(complex(post.trace()), evidence=True), (m,))
 
 
 def inference_forward(tau: QState, p: Effect) -> QState:
@@ -153,11 +165,15 @@ def inference_forward(tau: QState, p: Effect) -> QState:
 
 
 def crossover_first(tau: QState, q: Effect) -> QState:
-    """Condition the joint on 1 (x) q, keep the first component."""
+    """Condition the joint on 1 (x) q, keep the first component.
+
+    post[i, j] = sum_kb q[k, b] tau[(i, b), (j, k)], divided by its own
+    trace, the validity of q in M2(tau).
+    """
     n, m = _require_side(tau, q, 1)
-    v = _evidence_validity(tau.marginal([0, 1]), q)
-    post = np.einsum("kb,ibjk->ij", q.mat, tau.mat.reshape(n, m, n, m))
-    return QState(post / v, (n,))
+    cols = q.mat.T.reshape(m, m, 1)  # [b, k, -]
+    post = (tau.mat.reshape(n, m, n, m) @ cols).sum(axis=1).reshape(n, n)
+    return QState(post / _born(complex(post.trace()), evidence=True), (n,))
 
 
 def inference_backward(tau: QState, q: Effect) -> QState:

@@ -203,8 +203,12 @@ class QChannel:
         ops = [as_matrix(a) for a in kraus]
         if not ops or any(a.shape != (m, n) for a in ops):
             raise DimensionError(f"Kraus operators must all be {m}x{n}")
-        stack = np.stack(ops)
-        blocks = np.einsum("rki,rlj->klij", stack.conj(), stack)
+        stack = np.stack(ops).reshape(len(ops), m * n)
+        # The Gram matrix of the flattened operators,
+        # gram[(k, i), (l, j)] = sum_r conj(A_r[k, i]) A_r[l, j], is the
+        # Choi matrix; reordering its axes to (k, l, i, j) gives the blocks.
+        gram = stack.conj().T @ stack
+        blocks = gram.reshape(m, n, m, n).transpose(0, 2, 1, 3)
         return cls(blocks, in_dims, out_dims, check_cp=False)
 
     @classmethod
@@ -216,7 +220,9 @@ class QChannel:
         """Predicate transformation c << q = sum_kl q[k, l] c[k, l]."""
         if q.dims != self.out_dims:
             raise DimensionError(f"effect dims {q.dims} vs {self.out_dims}")
-        return Effect(np.einsum("kl,klij->ij", q.mat, self.blocks), self.in_dims)
+        n, m = self.in_flat, self.out_flat
+        mat = q.mat.reshape(m * m) @ self.blocks.reshape(m * m, n * n)
+        return Effect(mat.reshape(n, n), self.in_dims)
 
     def push(self, sigma: QState) -> QState:
         """State transformation; requires a unital (truth-preserving) grid."""
@@ -230,13 +236,18 @@ class QChannel:
     def push_operator(self, mat: np.ndarray) -> np.ndarray:
         """(c >> sigma)[k, l] = tr(c[l, k] sigma), without normalization.
 
-        For sub-unital grids the result is subnormalized (trace below 1)
-        and is returned as a bare matrix rather than a QState.
+        One matrix-vector product: the (m*m, n*n) grid of flattened
+        blocks against vec(sigma^T) gives tr(c[k, l] sigma) at [k, l],
+        and the transpose swaps the block indices. For sub-unital grids
+        the result is subnormalized (trace below 1) and is returned as a
+        bare matrix rather than a QState.
         """
         mat = as_matrix(mat)
-        if mat.shape != (self.in_flat, self.in_flat):
+        n, m = self.in_flat, self.out_flat
+        if mat.shape != (n, n):
             raise DimensionError("matrix does not match the domain")
-        return np.einsum("lkij,ji->kl", self.blocks, mat)
+        flat = self.blocks.reshape(m * m, n * n) @ mat.T.reshape(n * n)
+        return flat.reshape(m, m).T
 
     def tensor(self, other: "QChannel") -> "QChannel":
         # np.kron on the 4-d block arrays is exactly blockwise Kronecker.
@@ -294,25 +305,38 @@ def _same_dims(a, b) -> None:
         raise DimensionError(f"dims mismatch: {a.dims} vs {b.dims}")
 
 
-def validity(sigma: QState, p: Effect) -> float:
-    """Born validity sigma |= p = tr(sigma p), clamped to [0, 1]."""
-    _same_dims(sigma, p)
-    # tr(sigma p) = sum_ij sigma_ij p_ji, without forming the product
-    v = complex(np.sum(sigma.mat * p.mat.T))
+def _born(v: complex, *, evidence: bool = False) -> float:
+    """A Born trace tr(sigma p) as a checked float, clamped to [0, 1].
+
+    Refused when its imaginary part or its distance from [0, 1] exceeds
+    EIG_CLIP, and, as evidence to condition on, when it is numerically
+    zero.
+    """
     if abs(v.imag) > EIG_CLIP:
         raise ValueError(f"validity has imaginary part {v.imag:.3e}")
     x = v.real
     if x < -EIG_CLIP or x > 1.0 + EIG_CLIP:
         raise ValueError(f"validity {x!r} leaves [0, 1]")
-    return min(1.0, max(0.0, x))
+    x = min(1.0, max(0.0, x))
+    if evidence and x <= ZERO_VALIDITY:
+        raise ZeroValidityError(f"evidence has validity {x:.3e}")
+    return x
+
+
+def _trace_of_product(sigma: QState, p: Effect) -> complex:
+    _same_dims(sigma, p)
+    # tr(sigma p) = sum_ij sigma_ij p_ji, without forming the product
+    return complex(np.sum(sigma.mat * p.mat.T))
+
+
+def validity(sigma: QState, p: Effect) -> float:
+    """Born validity sigma |= p = tr(sigma p), clamped to [0, 1]."""
+    return _born(_trace_of_product(sigma, p))
 
 
 def _evidence_validity(sigma: QState, p: Effect) -> float:
     """validity(sigma, p), refused when it is numerically zero."""
-    v = validity(sigma, p)
-    if v <= ZERO_VALIDITY:
-        raise ZeroValidityError(f"evidence has validity {v:.3e}")
-    return v
+    return _born(_trace_of_product(sigma, p), evidence=True)
 
 
 def andthen(p: Effect, q: Effect) -> Effect:

@@ -4,7 +4,8 @@ numpy reports its data buffers to tracemalloc, so the peak of one call
 counts every joint-sized temporary it holds at once, including the
 result it returns. The bounds sit just above the counts of the current
 code, at a 256x256 joint (dims 16, 16); a throwaway copy of the joint
-put back on any of these paths exceeds them.
+put back on any of these paths exceeds them. The crossovers and the
+channel transforms hold nothing joint-sized at all.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 from qbayes import correspond as co
 from qbayes.quantum import QState
-from qbayes.verify import random_qstate
+from qbayes.verify import random_effect, random_qstate
 
 DIMS = (16, 16)
 
@@ -56,3 +57,24 @@ def test_extract_on_a_fresh_joint(rho):
     tau = QState(rho, DIMS)
     # the GEMM buffer, the channel's private copy and its hermiticity gap
     assert _peak_in_joints(lambda: co.extract(tau), rho.nbytes) <= 3.6
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["crossover_second", "crossover_first"])
+def test_crossover(rho, side):
+    tau = QState(rho, DIMS)
+    p = random_effect((DIMS[side],), np.random.default_rng(4))
+    cross = (co.crossover_second, co.crossover_first)[side]
+    # the batched products' output, 1/16 of the joint, before it is summed
+    assert _peak_in_joints(lambda: cross(tau, p), rho.nbytes) <= 0.1
+
+
+def test_pull(rho):
+    chan = co.extract(QState(rho, DIMS))
+    q = random_effect((DIMS[1],), np.random.default_rng(5))
+    assert _peak_in_joints(lambda: chan.pull(q), rho.nbytes) <= 0.1
+
+
+def test_push(rho):
+    tau = QState(rho, DIMS)
+    chan, prior = co.extract(tau), co.project(tau)
+    assert _peak_in_joints(lambda: chan.push(prior), rho.nbytes) <= 0.1
