@@ -77,8 +77,9 @@ def pair_via_cup(sigma: QState, c: QChannel) -> QState:
     # raw[a, k, b, l] = sum_ij gate[b, a, j, i] c[l, k, j, i]: one GEMM
     # over the flattened (j, i) axis gives [(b, a), (l, k)], then a transpose
     prod = gate.blocks.reshape(n * n, n * n) @ c.blocks.reshape(m * m, n * n).T
-    raw = prod.reshape(n, n, m, m).transpose(1, 3, 0, 2)
-    return QState(raw.reshape(n * m, n * m), (n, m))
+    mat = prod.reshape(n, n, m, m).transpose(1, 3, 0, 2).reshape(n * m, n * m)
+    del prod
+    return QState(mat, (n, m))
 
 
 def project(tau: QState) -> QState:
@@ -137,13 +138,10 @@ def _require_side(tau: QState, p: Effect, side: int) -> tuple[int, int]:
 # The crossovers never form the conditioned joint: with R = sqrt(p),
 # R (x) 1 acts only on the factor traced out, so it cycles under the
 # partial trace, tr_1[(R (x) 1) tau (R (x) 1)] = tr_1[(p (x) 1) tau]. The
-# validity is the trace of that unnormalized posterior,
-# tr(tau (p (x) 1)) = tr(M1(tau) p). Each contraction runs as one batch of
-# matrix-vector products over the joint's (n, m, n, m) view, one per pair
-# of row indices, and the results are summed over the conditioned
-# component's row index, so the largest temporary is 1/n (or 1/m) of the
-# joint. This is lower conditioning only: the upper one's marginal keeps
-# sqrt(tau), the root of the whole joint.
+# trace of that unnormalized posterior is tr(tau (p (x) 1)) = tr(M1(tau) p),
+# the validity, so no marginal is formed to read it. This is lower
+# conditioning only: the upper one's marginal keeps sqrt(tau), the root of
+# the whole joint.
 
 
 def crossover_second(tau: QState, p: Effect) -> QState:

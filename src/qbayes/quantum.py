@@ -203,12 +203,8 @@ class QChannel:
         ops = [as_matrix(a) for a in kraus]
         if not ops or any(a.shape != (m, n) for a in ops):
             raise DimensionError(f"Kraus operators must all be {m}x{n}")
-        stack = np.stack(ops).reshape(len(ops), m * n)
-        # The Gram matrix of the flattened operators,
-        # gram[(k, i), (l, j)] = sum_r conj(A_r[k, i]) A_r[l, j], is the
-        # Choi matrix; reordering its axes to (k, l, i, j) gives the blocks.
-        gram = stack.conj().T @ stack
-        blocks = gram.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        stack = np.stack(ops)
+        blocks = np.einsum("rki,rlj->klij", stack.conj(), stack)
         return cls(blocks, in_dims, out_dims, check_cp=False)
 
     @classmethod
@@ -334,11 +330,6 @@ def validity(sigma: QState, p: Effect) -> float:
     return _born(_trace_of_product(sigma, p))
 
 
-def _evidence_validity(sigma: QState, p: Effect) -> float:
-    """validity(sigma, p), refused when it is numerically zero."""
-    return _born(_trace_of_product(sigma, p), evidence=True)
-
-
 def andthen(p: Effect, q: Effect) -> Effect:
     """Sequential conjunction p & q = sqrt(p) q sqrt(p).
 
@@ -352,14 +343,14 @@ def andthen(p: Effect, q: Effect) -> Effect:
 
 def condition_lower(sigma: QState, p: Effect) -> QState:
     """sigma|_p = sqrt(p) sigma sqrt(p) / validity. Product-rule form."""
-    v = _evidence_validity(sigma, p)
+    v = _born(_trace_of_product(sigma, p), evidence=True)
     root = _root_of(p)
     return QState(root @ sigma.mat @ root / v, sigma.dims)
 
 
 def condition_upper(sigma: QState, p: Effect) -> QState:
     """sigma|^p = sqrt(sigma) p sqrt(sigma) / validity. Bayes-rule form."""
-    v = _evidence_validity(sigma, p)
+    v = _born(_trace_of_product(sigma, p), evidence=True)
     root = _root_of(sigma)
     return QState(root @ p.mat @ root / v, sigma.dims)
 

@@ -59,6 +59,14 @@ def test_extract_on_a_fresh_joint(rho):
     assert _peak_in_joints(lambda: co.extract(tau), rho.nbytes) <= 3.6
 
 
+def test_pair_via_cup(rho):
+    tau = QState(rho, DIMS)
+    sigma, chan = co.project(tau), co.extract(tau)
+    # the assert map's blocks and the reordered GEMM result next to the
+    # constructor's three; the GEMM buffer itself is freed before them
+    assert _peak_in_joints(lambda: co.pair_via_cup(sigma, chan), rho.nbytes) <= 5.1
+
+
 @pytest.mark.parametrize("side", [0, 1], ids=["crossover_second", "crossover_first"])
 def test_crossover(rho, side):
     tau = QState(rho, DIMS)

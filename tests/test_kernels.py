@@ -55,6 +55,8 @@ def test_from_kraus(n, m):
     stack = 0.9 * np.linalg.qr(g)[0].reshape(r, m, n)
     c = QChannel.from_kraus(list(stack), (n,), (m,))
     _assert_close(c.blocks, np.einsum("rki,rlj->klij", stack.conj(), stack))
+    # c[l, k] = c[k, l]^dag bit for bit, as the per-entry sum gives it
+    assert np.array_equal(c.blocks, c.blocks.transpose(1, 0, 3, 2).conj())
 
 
 @pytest.mark.parametrize("n, m", SHAPES)
@@ -78,4 +80,3 @@ def test_crossovers(n, m):
     _assert_close(co.crossover_second(tau, p).mat, post / np.trace(post).real)
     post = np.einsum("kb,ibjk->ij", q.mat, joint)
     _assert_close(co.crossover_first(tau, q).mat, post / np.trace(post).real)
-

@@ -63,36 +63,22 @@ class TestGenerators:
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
-# perfbench's round_seed(104, 3770) and round_seed(1, 2988): rounds of
-# pair-extract-mid runs with seeds 104 and 1 that a timed run can reach
+# perfbench's round_seed(104, 3770): round 3770 of pair-extract-mid run
+# with seed 104, a round that faster code reaches within a timed run
 KNOWN_FAIL_SEED = 8239220397667315362
-SECOND_KNOWN_FAIL_SEED = 3593074227457763729
 
-known_fail = pytest.mark.xfail(
+
+@pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason=(
-        "ROADMAP item 2: extract-of-pair misses tol 1e-9 by about kappa * eps; "
-        "the prior's condition number is inside INV_CUTOFF"
+        "ROADMAP item 1: extract-of-pair reads 1.82e-9 against tol 1e-9; the "
+        "prior has condition number 5.1e7, inside INV_CUTOFF"
     ),
 )
-
-
-def _assert_pair_extract_passes(seed):
-    report = verify.run_suite("pair-extract", trials=3, seed=seed, dims=(5, 5))
-    assert report.all_pass, [e.name for e in report.equations if not e.passed]
-
-
-@known_fail
 def test_pair_extract_known_fail_seed():
-    # extract-of-pair reads 1.08e-8; the prior has condition number 5.1e7
-    _assert_pair_extract_passes(KNOWN_FAIL_SEED)
-
-
-@known_fail
-def test_pair_extract_second_known_fail_seed():
-    # extract-of-pair reads 1.86e-9; the prior has condition number 6.7e6
-    _assert_pair_extract_passes(SECOND_KNOWN_FAIL_SEED)
+    report = verify.run_suite("pair-extract", trials=3, seed=KNOWN_FAIL_SEED, dims=(5, 5))
+    assert report.all_pass, [e.name for e in report.equations if not e.passed]
 
 
 class TestRunSuite:
