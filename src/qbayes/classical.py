@@ -40,7 +40,7 @@ class Space:
     the flattening used on the quantum side.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "shape", "size")
 
     def __init__(self, *components: Iterable[str]):
         comps = []
@@ -54,14 +54,8 @@ class Space:
         if not comps:
             raise DimensionError("a space needs at least one component")
         self.components: tuple[tuple[str, ...], ...] = tuple(comps)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
+        self.shape: tuple[int, ...] = tuple(len(c) for c in comps)
+        self.size: int = math.prod(self.shape)
 
     def outcomes(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*self.components))
@@ -89,9 +83,6 @@ class Space:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Space) and self.components == other.components
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self.components)
@@ -390,8 +381,9 @@ def abstract(f: StochChannel) -> dict[str, Dist]:
         raise DimensionError("abstraction needs a two-component domain Z x X")
     zs, xs = f.dom.components
     x_space = Space(xs)
-    out = {}
-    for z in zs:
-        rows = [f.matrix[f.dom.index((z, x))] for x in xs]
-        out[z] = pair(Dist.uniform(x_space), StochChannel(x_space, f.cod, rows))
-    return out
+    uniform = Dist.uniform(x_space)
+    rows = f.matrix.reshape(len(zs), len(xs), f.cod.size)
+    return {
+        z: pair(uniform, StochChannel(x_space, f.cod, block))
+        for z, block in zip(zs, rows)
+    }

@@ -216,28 +216,42 @@ def _cmd_witness(cfg: argparse.Namespace) -> int:
     return 0 if abs(dist - 1.0) < FIXED_WITNESS_TOL else 1
 
 
-def _inspect_object(obj: dict) -> tuple[str, object]:
+def _inspect_object(obj: dict) -> tuple[str, dict, str]:
+    """Load a serialized object: its kind, its JSON form and its text body."""
     keys = set(obj)
     if {"labels", "probs"} <= keys:
-        return "distribution", Dist.from_json(obj)
+        dist = Dist.from_json(obj)
+        return "distribution", dist.to_json(), str(dist)
     if {"dom", "cod", "rows"} <= keys:
-        return "channel", StochChannel.from_json(obj)
+        chan = StochChannel.from_json(obj)
+        rows = (f"  {','.join(o)} -> {chan.row(o)}" for o in chan.dom.outcomes())
+        return "channel", chan.to_json(), "\n".join(rows)
     if {"in_dims", "out_dims", "blocks"} <= keys:
-        return "quantum channel", QChannel.from_json(obj)
+        qc = QChannel.from_json(obj)
+        lines = [f"  {qc!r}"]
+        for k in range(qc.out_flat):
+            for l in range(qc.out_flat):
+                lines.append(f"  block [{k},{l}]:")
+                lines.append(_indent(_fmt_matrix(qc.blocks[k, l])))
+        return "quantum channel", qc.to_json(), "\n".join(lines)
     if {"rows", "cols", "re", "im"} <= keys:
-        if "dims" in keys:
-            if obj.get("kind") == Effect.kind:
-                return "effect", Effect.from_json(obj)
-            if "kind" in keys:
-                return "quantum state", QState.from_json(obj)
+        if "dims" not in keys:
+            return "matrix", obj, _indent(_fmt_matrix(matrix_from_json(obj)))
+        if obj.get("kind") == Effect.kind:
+            kind, value = "effect", Effect.from_json(obj)
+        elif "kind" in keys:
+            kind, value = "quantum state", QState.from_json(obj)
+        else:
             # untagged legacy file: a state if it validates as one
             try:
-                return "quantum state", QState.from_json(obj)
+                kind, value = "quantum state", QState.from_json(obj)
             except ValueError:
-                return "effect", Effect.from_json(obj)
-        return "matrix", matrix_from_json(obj)
+                kind, value = "effect", Effect.from_json(obj)
+        body = f"  dims: {list(value.dims)}\n" + _indent(_fmt_matrix(value.mat))
+        return kind, value.to_json(), body
     if {"suite", "equations"} <= keys:
-        return "report", TrialReport.from_json(obj)
+        report = TrialReport.from_json(obj)
+        return "report", report.to_json(), format_report(report)
     raise ValueError("unrecognized object shape")
 
 
@@ -245,35 +259,14 @@ def _cmd_inspect(cfg: argparse.Namespace) -> int:
     try:
         with open(cfg.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        kind, value = _inspect_object(obj)
+        kind, as_json, body = _inspect_object(obj)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"inspect: {exc}", file=sys.stderr)
         return 2
     if cfg.json_out:
-        out = obj
-        if hasattr(value, "to_json"):
-            out = value.to_json()
-        print(json.dumps(out, indent=2))
-        return 0
-    print(f"kind: {kind}")
-    if kind == "distribution":
-        print(str(value))
-    elif kind == "channel":
-        for outcome in value.dom.outcomes():
-            print(f"  {','.join(outcome)} -> {value.row(outcome)}")
-    elif kind == "quantum channel":
-        print(f"  {value!r}")
-        for k in range(value.out_flat):
-            for l in range(value.out_flat):
-                print(f"  block [{k},{l}]:")
-                print(_indent(_fmt_matrix(value.blocks[k, l])))
-    elif kind in ("quantum state", "effect"):
-        print(f"  dims: {list(value.dims)}")
-        print(_indent(_fmt_matrix(value.mat)))
-    elif kind == "matrix":
-        print(_indent(_fmt_matrix(value)))
+        print(json.dumps(as_json, indent=2))
     else:
-        print(format_report(value))
+        print(f"kind: {kind}\n{body}")
     return 0
 
 

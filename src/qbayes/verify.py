@@ -312,11 +312,12 @@ def _classical_bayes(rng, dims, i):
     yield "validity-duality", abs(
         cl.validity(c.push(omega), qy) - cl.validity(omega, c.pull(qy))
     )
+    prior = tau.marginal([1, 0])
     lhs = cl.condition(tau, p.tensor(FuzzyPred.truth(ys))).marginal([0, 1])
-    rhs = cl.extract(tau).push(cl.condition(tau.marginal([1, 0]), p))
+    rhs = cl.extract(tau).push(cl.condition(prior, p))
     yield "inference-forward", np.max(np.abs(lhs.probs - rhs.probs))
     lhs = cl.condition(tau, FuzzyPred.truth(xs).tensor(qy)).marginal([1, 0])
-    rhs = cl.condition(tau.marginal([1, 0]), cl.extract(tau).pull(qy))
+    rhs = cl.condition(prior, cl.extract(tau).pull(qy))
     yield "inference-backward", np.max(np.abs(lhs.probs - rhs.probs))
 
 

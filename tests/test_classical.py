@@ -22,13 +22,23 @@ class TestSpace:
         sp = Space(["a", "b"], ["x", "y", "z"])
         assert sp.outcomes()[:3] == [("a", "x"), ("a", "y"), ("a", "z")]
         assert sp.index(("b", "z")) == 5
-        assert sp.shape == (2, 3)
+        assert (sp.shape, sp.size) == ((2, 3), 6)
 
     def test_rejects_duplicates_and_empty(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="duplicate labels"):
             Space(["a", "a"])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="cannot be empty"):
             Space([])
+        with pytest.raises(DimensionError, match="at least one component"):
+            Space()
+
+    @pytest.mark.parametrize(
+        "outcome, match",
+        [(("a",), "has wrong arity"), (("a", "w"), "unknown label 'w'")],
+    )
+    def test_index_refuses_foreign_outcomes(self, outcome, match):
+        with pytest.raises(DimensionError, match=match):
+            Space(["a", "b"], ["x", "y"]).index(outcome)
 
     def test_keep_mask(self):
         sp = Space(["a", "b"], ["x", "y"], ["0", "1"])
@@ -334,6 +344,20 @@ class TestHelpers:
     def test_ket_formatting(self):
         assert str(SMOKING) == "0.3|t> + 0.7|f>"
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: cl.mixture([1.0], [SMOKING, SMOKING]), "one weight per"),
+            (lambda: cl.mixture([], []), "one weight per"),
+            (lambda: cl.copier(BND, 0), "copier needs n >= 1"),
+            (lambda: cl.tuple_channels(), "at least one channel"),
+        ],
+        ids=["mixture-count", "mixture-empty", "copier", "tuple_channels"],
+    )
+    def test_combinators_refuse_degenerate_input(self, call, match):
+        with pytest.raises(DimensionError, match=match):
+            call()
+
 
 class TestJsonForms:
     def test_dist_round_trip(self):
@@ -351,6 +375,15 @@ class TestJsonForms:
         assert back.dom == BND and back.cod == BND
         np.testing.assert_allclose(back.matrix, CANCER.matrix)
 
+    def test_two_component_domain_round_trip(self):
+        dom = Space(["a", "b"], ["x", "y"])
+        c = StochChannel(dom, BND, [[0.1, 0.9], [0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
+        d = c.to_json()
+        assert d["dom"] == [["a", "x"], ["a", "y"], ["b", "x"], ["b", "y"]]
+        back = StochChannel.from_json(d)
+        assert back.dom == dom and back.cod == BND
+        np.testing.assert_array_equal(back.matrix, c.matrix)
+
     def test_from_json_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             Dist.from_json({"labels": [["t"], ["f"]], "probs": [np.nan, 0.5]})
@@ -360,7 +393,11 @@ class TestJsonForms:
             StochChannel.from_json(d)
 
     def test_from_json_rejects_non_product_listing(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="row-major product"):
             Dist.from_json(
                 {"labels": [["t", "t"], ["f", "f"]], "probs": [0.5, 0.5]}
             )
+        with pytest.raises(DimensionError, match="no outcomes"):
+            Dist.from_json({"labels": [], "probs": []})
+        with pytest.raises(DimensionError, match="ragged outcome list"):
+            Dist.from_json({"labels": [["t", "t"], ["f"]], "probs": [0.5, 0.5]})

@@ -9,6 +9,7 @@ import pytest
 
 from qbayes import cli, verify
 from qbayes.classical import Dist, Space, StochChannel
+from qbayes.linalg import matrix_to_json
 from qbayes.quantum import Effect, QChannel, QState
 
 
@@ -123,6 +124,20 @@ class TestVerifyCommand:
         for eq in report["equations"]:
             assert f"{eq['name']:<28} max_dev={eq['max_dev']:.6e}" in text
 
+    def test_text_prints_one_line_per_witness(self, capsys):
+        args = ["verify", "--suite", "witnesses", "--trials", "3", "--dims", "2"]
+        code, text, _ = _run(capsys, *args)
+        assert code == 0
+        code, raw, _ = _run(capsys, *args, "--json")
+        assert code == 0
+        witnesses = json.loads(raw)["witnesses"]
+        assert witnesses
+        lines = [line for line in text.splitlines() if "witness [" in line]
+        assert lines == [
+            f"  witness [{w['claim']}] deviation={w['deviation']:.6e}"
+            for w in witnesses
+        ]
+
     @pytest.mark.parametrize(
         "dims, suite", [("1,4", "witnesses"), ("1,1", "witnesses")]
     )
@@ -211,6 +226,38 @@ class TestInspectCommand:
         code, out, _ = _run(capsys, "inspect", "--file", str(f))
         assert code == 0
         assert "kind: channel" in out
+
+    def test_two_component_domain_channel_file(self, tmp_path, capsys):
+        c = StochChannel(
+            Space(["a", "b"], ["x", "y"]),
+            Space(["t", "f"]),
+            [[0.1, 0.9], [0.5, 0.5], [1.0, 0.0], [0.3, 0.7]],
+        )
+        f = tmp_path / "chan.json"
+        f.write_text(json.dumps(c.to_json()))
+        code, out, _ = _run(capsys, "inspect", "--file", str(f))
+        assert code == 0
+        assert out == (
+            "kind: channel\n"
+            "  a,x -> 0.1|t> + 0.9|f>\n"
+            "  a,y -> 0.5|t> + 0.5|f>\n"
+            "  b,x -> 1|t> + 0|f>\n"
+            "  b,y -> 0.3|t> + 0.7|f>\n"
+        )
+        code, out, _ = _run(capsys, "inspect", "--file", str(f), "--json")
+        assert code == 0
+        assert json.loads(out) == c.to_json()
+
+    def test_bare_matrix_file(self, tmp_path, capsys):
+        d = matrix_to_json(np.array([[1.0, 2j], [3.0, 4.5]]))
+        f = tmp_path / "matrix.json"
+        f.write_text(json.dumps(d))
+        code, out, _ = _run(capsys, "inspect", "--file", str(f))
+        assert code == 0
+        assert out == "kind: matrix\n  [[1. +0.j 0. +2.j]\n   [3. +0.j 4.5+0.j]]\n"
+        code, out, _ = _run(capsys, "inspect", "--file", str(f), "--json")
+        assert code == 0
+        assert json.loads(out) == d
 
     def test_qstate_file(self, tmp_path, capsys):
         s = QState.maximally_mixed((2,))

@@ -87,6 +87,10 @@ class TestPair:
         with pytest.raises(ValueError):
             co.pair(QState.maximally_mixed((2,)), sub)
 
+    def test_rejects_a_channel_on_another_space(self):
+        with pytest.raises(DimensionError, match="state dim 2 vs channel domain 3"):
+            co.pair(QState.maximally_mixed((2,)), QChannel.identity((3,)))
+
     @pytest.mark.parametrize(
         "dims, rank",
         [((3, 4), None), ((1, 4), None), ((4, 1), None), ((5, 5), None), ((4, 3), 2)],

@@ -335,6 +335,23 @@ _BAD_INPUTS = [
         "channel rows must be finite",
     ),
     (lambda: linalg.as_matrix([[np.nan]]), ValueError, _FINITE),
+    (
+        lambda: Dist(_SP, [0.2, 0.3, 0.5]),
+        DimensionError,
+        "probabilities of shape (3,), expected (2,)",
+    ),
+    (
+        lambda: linalg.partial_trace(np.zeros((2, 3)), (2,), [1]),
+        DimensionError,
+        "partial_trace needs a square matrix",
+    ),
+    (
+        lambda: linalg.matrix_from_json(
+            {"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0]]}
+        ),
+        DimensionError,
+        "re/im parts must be matching 2-d arrays",
+    ),
 ]
 
 

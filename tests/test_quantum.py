@@ -420,6 +420,53 @@ class TestAsrt:
             qu.asrt(p).push(MIXED2)
 
 
+_ID2 = QChannel.identity((2,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: QChannel.from_kraus([np.eye(3)], (2,), (2,)),
+            DimensionError,
+            "must all be 2x2",
+        ),
+        (
+            lambda: QChannel.from_kraus([], (2,), (2,)),
+            DimensionError,
+            "must all be 2x2",
+        ),
+        (
+            lambda: _ID2.pull(Effect.truth((3,))),
+            DimensionError,
+            "effect dims (3,) vs (2,)",
+        ),
+        (
+            lambda: _ID2.push_operator(np.eye(3)),
+            DimensionError,
+            "does not match the domain",
+        ),
+        (
+            lambda: qu.validity(MIXED2, Effect.truth((3,))),
+            DimensionError,
+            "dims mismatch: (2,) vs (3,)",
+        ),
+        (lambda: qu._born(0.5 + 1e-6j), ValueError, "imaginary part 1.000e-06"),
+        (lambda: qu._born(1.5 + 0j), ValueError, "validity 1.5 leaves [0, 1]"),
+        (lambda: qu.cup(0), DimensionError, "cup needs n >= 1"),
+    ],
+    ids=[
+        "from_kraus-shape", "from_kraus-empty", "pull-dims", "push_operator-shape",
+        "same_dims", "born-imaginary", "born-range", "cup-zero",
+    ],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
 class TestChannelTransforms:
     def test_duality(self):
         """tr((c >> sigma) q) = tr(sigma (c << q))"""

@@ -72,7 +72,7 @@ KNOWN_FAIL_SEED = 8239220397667315362
     strict=True,
     raises=AssertionError,
     reason=(
-        "ROADMAP item 1: extract-of-pair reads 1.82e-9 against tol 1e-9; the "
+        "ROADMAP item 2: extract-of-pair reads 1.82e-9 against tol 1e-9; the "
         "prior has condition number 5.1e7, inside INV_CUTOFF"
     ),
 )
