@@ -76,7 +76,7 @@ def _positive_tol(text: str) -> float:
 
 def _dims_list(text: str) -> tuple[int, ...]:
     try:
-        return check_dims(text.split(","))
+        return check_dims([int(part) for part in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad dims {text!r}: {exc}") from exc
 

@@ -23,21 +23,24 @@ is both what max |a - h| is measured against and, added to a in place
 and halved, the symmetrised part (a + a^dag) / 2 that the range check
 and the square roots go on to factor.
 
-A spectral range check (a state's PSD, an effect's 0 <= p <= I, a
-channel's complete positivity and sub-unitality) is decided by a
-Cholesky factorisation of the shifted matrix: h - low*I, and high*I - h
-when there is an upper bound. A factorisation that succeeds certifies
-the range: Cholesky is backward stable and costs about a quarter of a
-full spectrum. Only when one fails does `eigvalsh` run, to confirm the
-rejection and word its message; an input it finds in range is accepted.
-The thresholds below mean what they say about eigenvalues either way:
-the accepted set differs from an exact spectral test only within
-rounding of the boundary.
+A spectral range check has a lower bound and may have an upper one: a
+state is PSD, an effect lies in 0 <= p <= I, a channel's Choi matrix
+is PSD (complete positivity), and a sub-unital channel's slack
+I - sum_k c[k, k] is PSD. It is decided by a Cholesky factorisation of
+the shifted matrix: h - low*I, and high*I - h when there is an upper
+bound. A factorisation that succeeds certifies the range: Cholesky is
+backward stable and costs about a quarter of a full spectrum. Only
+when one fails does `eigvalsh` run, to confirm the rejection and word
+its message; an input it finds in range is accepted. The thresholds
+below mean what they say about eigenvalues either way: the accepted
+set differs from an exact spectral test only within rounding of the
+boundary. Each check raises its own refusal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import string
 
 import numpy as np
@@ -54,8 +57,8 @@ HERMITIAN_TOL = 1e-9
 EIG_CLIP = 1e-10
 # Slack on "sums to one": a distribution's mass, each channel row, a
 # state's trace, and a quantum channel's unitality sum_k c[k, k] = I.
-# A sub-unital defect sum_k c[k, k] - I may have no eigenvalue above it,
-# checked as a Cholesky of NORM_TOL * I minus the defect.
+# A sub-unital channel's slack I - sum_k c[k, k] may have no eigenvalue
+# below -NORM_TOL, checked as a Cholesky of the slack plus NORM_TOL * I.
 NORM_TOL = 1e-9
 # Slack on the smallest eigenvalue of a channel's Choi matrix, checked
 # as a Cholesky of the Choi matrix plus CP_TOL * I.
@@ -140,18 +143,13 @@ def _conj_gap(
     return float(np.abs(diff).max())
 
 
-def _conj_mean(
-    a: np.ndarray, flipped: np.ndarray, h: np.ndarray | None = None
-) -> np.ndarray:
+def _conj_mean(a: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """(a + conj(flipped)) / 2 in one fresh C-ordered array.
 
-    `h`, when given, already holds conj(flipped), as _conj_gap leaves it
-    in `out`, and becomes the result. With flipped = a.T this is
-    (a + a.conj().T) / 2 bit for bit: the sum commutes exactly and the
-    in-place halving is the same division.
+    With flipped = a.T this is (a + a.conj().T) / 2 bit for bit: the sum
+    commutes exactly and the in-place halving is the same division.
     """
-    if h is None:
-        h = np.conjugate(flipped, order="C")
+    h = np.conjugate(flipped, order="C")
     h += a
     h /= 2
     return h
@@ -162,68 +160,62 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
 
     Symmetrised before a factorisation so that it reproduces the input
     to working precision even when it carries ~1e-10 asymmetry noise.
-    The one conjugated copy conj(a^T) serves the check and the mean.
+    The one conjugated copy conj(a^T) that _conj_gap leaves serves the
+    check and becomes the mean, as in _conj_mean.
     """
     h = np.empty(a.shape, dtype=a.dtype)
     if a.shape[0] != a.shape[1] or not _conj_gap(a, a.T, h) <= HERMITIAN_TOL:
         raise NotPositiveError(f"{what}: matrix is not Hermitian")
-    return _conj_mean(a, a.T, h)
+    h += a
+    h /= 2
+    return h
 
 
 def _spectrum_outside(
-    h: np.ndarray, low: float | None = None, high: float | None = None
+    h: np.ndarray, low: float, high: float | None = None
 ) -> np.ndarray | None:
     """None when every eigenvalue of Hermitian h lies in [low, high].
 
     Otherwise returns the spectrum of h, for the caller's error message.
-    The range is certified by Cholesky factorisations of h - low*I and
-    high*I - h, stacked into one call when both bounds are given; only
-    when one fails does eigvalsh decide, so an input within rounding of
-    a bound is accepted if its spectrum says so.
+    The range is certified by Cholesky factorisations of h - low*I and,
+    given an upper bound, high*I - h, stacked into one call; only when
+    one fails does eigvalsh decide, so an input within rounding of a
+    bound is accepted if its spectrum says so.
 
-    h must be a C-ordered buffer the caller owns: a one-sided check
-    shifts it in place and leaves it shifted when the factorisation
-    succeeds (it is restored exactly before eigvalsh runs).
+    h must be a C-ordered buffer the caller owns: a lower-bound check
+    shifts its diagonal in place and leaves it shifted when the
+    factorisation succeeds (it is restored exactly before eigvalsh runs).
     """
     n = h.shape[0]
-    if low is not None and high is not None:
+    if high is None:
+        shifted = h
+        diag = h.reshape(n * n)[:: n + 1]
+        saved = diag.copy()
+        diag -= low
+    else:
         shifted = np.empty((2, n, n), dtype=h.dtype)
         shifted[0] = h
         np.negative(h, out=shifted[1])
         shifted[0].reshape(n * n)[:: n + 1] -= low
         shifted[1].reshape(n * n)[:: n + 1] += high
-    else:
-        shifted = h
-        diag = h.reshape(n * n)[:: n + 1]
-        saved = diag.copy()
-        if high is not None:
-            np.negative(h, out=h)
-            diag += high
-        else:
-            diag -= low
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        if shifted is h:
-            if high is not None:
-                np.negative(h, out=h)
+        if high is None:
             diag[...] = saved
         eigs = np.linalg.eigvalsh(h)
-        if (low is not None and eigs.min() < low) or (
-            high is not None and eigs.max() > high
-        ):
+        if eigs.min() < low or (high is not None and eigs.max() > high):
             return eigs
     return None
 
 
 def _checked_operator(
     mat, dims, what: str, high: float | None = None
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """Validate a square Hermitian operator whose flat size factors as dims.
 
-    Returns a frozen complex copy of `mat`, the checked dims, and None
-    when the spectrum of its symmetrised part lies in [-EIG_CLIP, high],
-    else that spectrum for the caller's error message.
+    Returns a frozen complex copy of `mat` and the checked dims once the
+    spectrum of its symmetrised part lies in [-EIG_CLIP, high].
     """
     # one private C-ordered copy, taken before any check reads it
     m = _require_matrix(np.array(mat, dtype=np.complex128, order="C"))
@@ -231,7 +223,13 @@ def _checked_operator(
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be square")
     eigs = _spectrum_outside(_hermitian_part(m, what), -EIG_CLIP, high)
-    return _freeze(m), dims, eigs
+    if eigs is not None:
+        if high is None:
+            raise NotPositiveError(f"{what} has eigenvalue {eigs.min():.3e}")
+        raise NotPositiveError(
+            f"{what} eigenvalues [{eigs.min():.3e}, {eigs.max():.3e}] leave [0, 1]"
+        )
+    return _freeze(m), dims
 
 
 def _checked_entries(values, shape: tuple[int, ...], what: str, stochastic: bool):
@@ -283,15 +281,15 @@ def _checked_channel(blocks, n: int, m: int, check_cp: bool) -> tuple[np.ndarray
     # is conj(arr.transpose(1, 3, 0, 2)).
     if not _conj_gap(arr, arr.transpose(1, 0, 3, 2)) <= HERMITIAN_TOL:
         raise NotPositiveError("blocks break the hermiticity pattern")
-    gap = np.einsum("kkij->ij", arr) - np.eye(n)
-    unital = bool(np.max(np.abs(gap)) <= NORM_TOL)
+    slack = np.eye(n) - np.einsum("kkij->ij", arr)
+    unital = bool(np.max(np.abs(slack)) <= NORM_TOL)
     if not unital:
-        defect = _conj_mean(gap, gap.T)
-        if _spectrum_outside(defect, high=NORM_TOL) is not None:
+        slack = _conj_mean(slack, slack.T)
+        if _spectrum_outside(slack, -NORM_TOL) is not None:
             raise NotPositiveError("block diagonal sums above the identity")
     if check_cp:
         choi = _conj_mean(arr.transpose(0, 2, 1, 3), arr.transpose(1, 3, 0, 2))
-        eigs = _spectrum_outside(choi.reshape(m * n, m * n), low=-CP_TOL)
+        eigs = _spectrum_outside(choi.reshape(m * n, m * n), -CP_TOL)
         if eigs is not None:
             raise NotPositiveError(
                 f"blocks are not completely positive ({eigs.min():.3e})"
@@ -322,8 +320,14 @@ def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def check_dims(dims, flat: int | None = None) -> tuple[int, ...]:
-    """Validate a dimension list; entries >= 1, product matches flat."""
-    out = tuple(int(d) for d in dims)
+    """Validate a dimension list; integer entries >= 1, product matches flat.
+
+    An entry that is not an integer (2.5, or 2.0) is refused, not truncated.
+    """
+    try:
+        out = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise DimensionError(f"bad dimension list {dims}") from None
     if not out or any(d < 1 for d in out):
         raise DimensionError(f"bad dimension list {dims}")
     if flat is not None and math.prod(out) != flat:

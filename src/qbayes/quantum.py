@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .classical import Dist, FuzzyPred, StochChannel
-from .errors import DimensionError, NotPositiveError, ZeroValidityError
+from .errors import DimensionError, ZeroValidityError
 from .linalg import (
     EIG_CLIP,
     NORM_TOL,
@@ -120,9 +120,7 @@ class QState(_Operator):
     kind = "state"
 
     def __init__(self, mat, dims):
-        self.mat, self.dims, eigs = _checked_operator(mat, dims, "state")
-        if eigs is not None:
-            raise NotPositiveError(f"state has eigenvalue {eigs.min():.3e}")
+        self.mat, self.dims = _checked_operator(mat, dims, "state")
         tr = float(self.mat.trace().real)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"state has trace {tr!r}, not 1")
@@ -148,14 +146,9 @@ class Effect(_Operator):
     kind = "effect"
 
     def __init__(self, mat, dims):
-        self.mat, self.dims, eigs = _checked_operator(
+        self.mat, self.dims = _checked_operator(
             mat, dims, "effect", high=1.0 + EIG_CLIP
         )
-        if eigs is not None:
-            raise NotPositiveError(
-                f"effect eigenvalues [{eigs.min():.3e}, {eigs.max():.3e}] "
-                "leave [0, 1]"
-            )
 
     @classmethod
     def truth(cls, dims) -> "Effect":

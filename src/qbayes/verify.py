@@ -238,8 +238,9 @@ def _drive(
     """Run trials 0..trials-1 of suite and reduce what they yield to a report.
 
     What a trial yielded before it raised one of suite.tolerated still
-    counts. A search keeps its strictly largest candidate, and only that
-    candidate's inputs are serialized.
+    counts. A search keeps its largest candidate by the equations' rule,
+    under which a NaN sticks, and only that candidate's inputs are
+    serialized.
     """
     dev = dict.fromkeys(suite.equations, 0.0)
     seen = set()
@@ -250,7 +251,8 @@ def _drive(
             for item in suite.trial(trial_rng(seed, i), dims, i):
                 if len(item) == 3:
                     claim, d, inputs = item
-                    if d > best[claim][0]:
+                    # the equations' rule below
+                    if d > best[claim][0] or d != d:
                         best[claim] = (d, inputs)
                 else:
                     eq, d = item
@@ -264,7 +266,8 @@ def _drive(
     witnesses = []
     for claim, eq in suite.searches.items():
         found, inputs = best[claim]
-        dev[eq] = float(max(0.0, WITNESS_THRESHOLD - found))
+        # np.maximum propagates a NaN shortfall, which then fails
+        dev[eq] = float(np.maximum(WITNESS_THRESHOLD - found, 0.0))
         seen.add(eq)
         if inputs is not None:
             witnesses.append(

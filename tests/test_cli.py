@@ -42,7 +42,7 @@ class TestParsing:
     def test_zero_trials_exits_with_usage_error(self):
         assert cli.main(["verify", "--suite", "inference", "--trials", "0"]) == 2
 
-    @pytest.mark.parametrize("dims", ["3,x", "0,3", "", "3,,5"])
+    @pytest.mark.parametrize("dims", ["3,x", "0,3", "", "3,,5", "2.5"])
     def test_malformed_dims_exits_with_usage_error(self, capsys, dims):
         code, out, err = _run(capsys, "verify", "--suite", "inference", "--dims", dims)
         assert code == 2
@@ -341,6 +341,19 @@ class TestInspectCommand:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("inspect: ")
+
+    @pytest.mark.parametrize("kind", ["state", None])
+    def test_non_integral_dims_are_usage_error(self, tmp_path, capsys, kind):
+        d = QState.maximally_mixed((2,)).to_json()
+        d["dims"] = [2.5]
+        if kind is None:
+            del d["kind"]
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(d))
+        code, out, err = _run(capsys, "inspect", "--file", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "inspect: bad dimension list [2.5]\n"
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "inspect", "--file", "/no/such/file.json")

@@ -106,7 +106,7 @@ class TestSymmetrise:
         assert got.dtype == want.dtype and got.flags.c_contiguous
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("bounds", [(-1e-10, None), (None, 1.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("bounds", [(-1e-10, None), (0.0, 1.0)])
     def test_spectrum_outside_reports_the_unshifted_spectrum(self, bounds):
         rng = np.random.default_rng(12)
         h = linalg._hermitian_part(_near_hermitian(rng, 6), "test")
@@ -133,7 +133,6 @@ class TestSymmetrise:
     def test_spectrum_inside_is_certified(self):
         h = np.diag([0.25, 0.5, 0.75]).astype(complex)
         assert linalg._spectrum_outside(h.copy(), -1e-10) is None
-        assert linalg._spectrum_outside(h.copy(), None, 1.0) is None
         assert linalg._spectrum_outside(h.copy(), -1e-10, 1.0) is None
 
 

@@ -68,6 +68,11 @@ class TestStateValidation:
         with pytest.raises(DimensionError):
             QState(np.eye(4) / 4, (3,))
 
+    @pytest.mark.parametrize("dims", [(2.5,), (2.0,), ("2",)])
+    def test_non_integral_dims_are_refused_not_truncated(self, dims):
+        with pytest.raises(DimensionError, match=r"^bad dimension list \("):
+            QState(np.eye(2) / 2, dims)
+
     def test_matrix_frozen(self):
         with pytest.raises(ValueError):
             MIXED2.mat[0, 0] = 9.0

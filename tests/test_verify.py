@@ -151,6 +151,10 @@ class TestRunSuite:
         with pytest.raises(DimensionError, match="needs"):
             verify.run_suite(suite, trials=1, dims=dims)
 
+    def test_non_integral_dims_are_refused(self):
+        with pytest.raises(DimensionError, match="bad dimension list"):
+            verify.run_suite("quantum-bayes", trials=1, dims=(2.9,))
+
     def test_channel_suites_accept_the_square_bound(self):
         report = verify.run_suite("quantum-duality", trials=2, dims=(4, 2))
         assert report.all_pass
@@ -167,8 +171,8 @@ class TestRunSuite:
             assert claims == expected["witnesses"], suite
 
 
-def _fake_suite(monkeypatch, trial, tolerated=()):
-    suite = verify._Suite({"x": 1e-9}, tolerated, trial)
+def _fake_suite(monkeypatch, trial, tolerated=(), searches=None):
+    suite = verify._Suite({"x": 1e-9}, tolerated, trial, searches or {})
     monkeypatch.setitem(verify.SUITES, "fake", suite)
 
 
@@ -179,6 +183,16 @@ class TestFailsClosed:
 
         _fake_suite(monkeypatch, trial)
         (eq,) = verify.run_suite("fake", trials=3, seed=0).equations
+        assert np.isnan(eq.max_dev)
+        assert not eq.passed
+
+    def test_nan_search_candidate_fails(self, monkeypatch):
+        # a later finite candidate must not replace the NaN
+        def trial(rng, dims, i):
+            yield "claim", [float("nan"), 0.5][i], {}
+
+        _fake_suite(monkeypatch, trial, searches={"claim": "x"})
+        (eq,) = verify.run_suite("fake", trials=2, seed=0).equations
         assert np.isnan(eq.max_dev)
         assert not eq.passed
 
