@@ -178,7 +178,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     if cfg.json_out:
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2, allow_nan=False))
     else:
         print(format_report(report))
     return 0 if report.all_pass else 1
@@ -258,7 +258,10 @@ def _inspect_object(obj: dict) -> tuple[str, dict, str]:
 def _cmd_inspect(cfg: argparse.Namespace) -> int:
     try:
         with open(cfg.file, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError("JSON nested too deeply to decode") from None
         kind, as_json, body = _inspect_object(obj)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"inspect: {exc}", file=sys.stderr)

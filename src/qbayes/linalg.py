@@ -8,8 +8,8 @@ reshape convention, so no permutations are needed anywhere.
 The numerical tolerances of every layer live here, one constant per
 rule, so that every caller agrees on what "Hermitian", "PSD",
 "normalised" or "invertible" means. So do the checks that the
-classical and quantum value types run on their input: finiteness first,
-then the range. A quantum channel is checked as its Choi matrix
+classical and quantum value types run on their input: finiteness, then
+the range. A quantum channel is checked as its Choi matrix
 [c[k, l]]_kl (M.-D. Choi, Linear Algebra Appl. 10, 1975): its blocks'
 hermiticity pattern is that matrix being Hermitian, and complete
 positivity is that matrix being PSD.
@@ -18,10 +18,15 @@ Hermiticity is one gap and one symmetriser: `_conj_gap` measures
 max |a - conj(flipped)| for a transposed view `flipped` of a (an
 operator's a^T, or the block-swapped view that is a channel's Choi
 matrix transposed), and `_conj_mean` forms (a + conj(flipped)) / 2.
-The Hermitian check of an operator conjugates it once: h = conj(a^T)
-is both what max |a - h| is measured against and, added to a in place
-and halved, the symmetrised part (a + a^dag) / 2 that the range check
-and the square roots go on to factor.
+The Hermitian check of an operator conjugates it once, in one
+C-ordered pass: h = conj(a^T) is both what max |a - h| is measured
+against and, added to a in place and halved, the symmetrised part
+(a + a^dag) / 2 that the range check and the square roots go on to
+factor. An operator's or a channel's entries are not scanned for
+finiteness on the way in: a gap within HERMITIAN_TOL implies them,
+since an inf or NaN entry makes its own difference inf or NaN. Only
+when a check is about to refuse does the finiteness check run first,
+so that a non-finite input is refused as such.
 
 A spectral range check has a lower bound and may have an upper one: a
 state is PSD, an effect lies in 0 <= p <= I, a channel's Choi matrix
@@ -29,21 +34,25 @@ is PSD (complete positivity), and a sub-unital channel's slack
 I - sum_k c[k, k] is PSD. It is decided by a Cholesky factorisation of
 the shifted matrix: h - low*I, and high*I - h when there is an upper
 bound. A factorisation that succeeds certifies the range: Cholesky is
-backward stable and costs about a quarter of a full spectrum. Only
-when one fails does `eigvalsh` run, to confirm the rejection and word
-its message; an input it finds in range is accepted. The thresholds
-below mean what they say about eigenvalues either way: the accepted
-set differs from an exact spectral test only within rounding of the
-boundary. Each check raises its own refusal.
+backward stable and costs about a quarter of a full spectrum. The
+factor is written in place, over h or over the stacked shifted pair,
+so a check allocates no factor of its own. Only when one fails does
+`eigvalsh` run, on h rebuilt from its source, to confirm the
+rejection and word its message; an input it finds in range is
+accepted. The thresholds below mean what they say about eigenvalues
+either way: the accepted set differs from an exact spectral test only
+within rounding of the boundary. Each check raises its own refusal.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import string
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, NotPositiveError, SingularMarginalError
 
@@ -82,19 +91,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
-        raise ValueError(f"{what} must be finite")
+        # also raised in place of a later check's refusal
+        raise ValueError(f"{what} must be finite") from None
 
 
-def _require_matrix(mat: np.ndarray) -> np.ndarray:
+def _require_2d(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {mat.shape}")
-    _require_finite(mat, "matrix entries")
     return mat
 
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex128 array."""
-    return _require_matrix(np.asarray(a, dtype=np.complex128))
+    mat = _require_2d(np.asarray(a, dtype=np.complex128))
+    _require_finite(mat, "matrix entries")
+    return mat
 
 
 def fro_norm(a: np.ndarray) -> float:
@@ -111,47 +122,70 @@ def op_norm(a: np.ndarray) -> float:
 # the size at which glibc's allocator maps fresh pages for a buffer.
 _GAP_BLOCK = 4096
 
+# numpy's LAPACK gufunc behind np.linalg.cholesky, which has no out=: it
+# writes each matrix's lower Cholesky factor into out, and NaN-fills the
+# factor of a matrix that is not positive definite.
+_cholesky_lo = _umath_linalg.cholesky_lo
 
-def _conj_gap(
-    a: np.ndarray, flipped: np.ndarray, out: np.ndarray | None = None
-) -> float:
-    """max |a - conj(flipped)| for a view `flipped` of a's transpose.
 
-    With `out`, a C-ordered array of a's shape, conj(flipped) is written
-    there and left for the caller. A check larger than _GAP_BLOCK
-    entries (a joint state, a channel's Choi matrix) is the worst of its
-    row blocks' checks, so that it reuses a few small buffers instead of
-    first-touching a fresh joint-sized one. A NaN in any block makes the
-    gap NaN.
+def _conj_gap(a: np.ndarray, b: np.ndarray, conj: bool = True) -> float:
+    """max |a - conj(b)| for a view b of a's transpose.
+
+    With conj=False, max |a - b| for b conjugated already.
+
+    A check larger than _GAP_BLOCK entries (a joint state, a channel's
+    Choi matrix) is the worst of its row blocks' checks, so that it
+    reuses a few small buffers instead of first-touching a fresh
+    joint-sized one. A NaN in any block makes the gap NaN.
     """
-    if a.size > _GAP_BLOCK and a.shape[0] > 1:
-        step = max(1, _GAP_BLOCK * a.shape[0] // a.size)
-        worst = 0.0
-        for r in range(0, a.shape[0], step):
-            rows = slice(r, r + step)
-            g = _conj_gap(a[rows], flipped[rows], None if out is None else out[rows])
-            if g > worst or g != g:
-                worst = g
-        return worst
-    if out is None:
-        # the ufunc always allocates, where a.conj() of a real array
-        # would be a itself
-        diff = np.conjugate(flipped, order="C")
-        np.subtract(a, diff, out=diff)
+    if a.size <= _GAP_BLOCK:
+        blocks = ((a, b),)
     else:
-        diff = a - np.conjugate(flipped, out)
-    return float(np.abs(diff).max())
+        step = max(1, _GAP_BLOCK * a.shape[0] // a.size)
+        rows = range(0, a.shape[0], step)
+        blocks = ((a[r : r + step], b[r : r + step]) for r in rows)
+    worst = 0.0
+    for x, y in blocks:
+        if conj:
+            # the ufunc always allocates, where y.conj() of a real array
+            # would be y itself
+            diff = np.conjugate(y, order="C")
+            np.subtract(x, diff, out=diff)
+        else:
+            diff = x - y
+        g = float(np.abs(diff).max())
+        if g > worst or g != g:
+            worst = g
+    return worst
+
+
+def _divide(h: np.ndarray, d: float) -> None:
+    """h /= d in place, for a positive real d, bit for bit.
+
+    numpy divides a complex entry by d as ((re + im*0) * (1/d),
+    (im - re*0) * (1/d)): each part times 1/d, unless a part is -0.0
+    (the sum may flip its sign) or not finite. A complex matrix larger
+    than _GAP_BLOCK entries with no such part is scaled through its
+    float64 view instead, at 256x256 in under half the time of numpy's
+    complex loop, its check included.
+    """
+    if h.size > _GAP_BLOCK and h.dtype == np.complex128:
+        parts = h.view(np.float64)
+        if np.isfinite(parts).all() and not np.signbit(parts[parts == 0]).any():
+            parts *= 1.0 / d
+            return
+    h /= d
 
 
 def _conj_mean(a: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """(a + conj(flipped)) / 2 in one fresh C-ordered array.
 
     With flipped = a.T this is (a + a.conj().T) / 2 bit for bit: the sum
-    commutes exactly and the in-place halving is the same division.
+    commutes exactly and _divide halves as numpy's division does.
     """
     h = np.conjugate(flipped, order="C")
     h += a
-    h /= 2
+    _divide(h, 2)
     return h
 
 
@@ -160,52 +194,62 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
 
     Symmetrised before a factorisation so that it reproduces the input
     to working precision even when it carries ~1e-10 asymmetry noise.
-    The one conjugated copy conj(a^T) that _conj_gap leaves serves the
-    check and becomes the mean, as in _conj_mean.
+    The one conjugated copy h = conj(a^T), built in one C-ordered pass,
+    is what max |a - h| is measured against and then becomes the mean,
+    as in _conj_mean.
     """
-    h = np.empty(a.shape, dtype=a.dtype)
-    if a.shape[0] != a.shape[1] or not _conj_gap(a, a.T, h) <= HERMITIAN_TOL:
+    if a.shape[0] != a.shape[1]:
+        raise NotPositiveError(f"{what}: matrix is not Hermitian")
+    h = np.conjugate(a.T, order="C")
+    if not _conj_gap(a, h, conj=False) <= HERMITIAN_TOL:
         raise NotPositiveError(f"{what}: matrix is not Hermitian")
     h += a
-    h /= 2
+    _divide(h, 2)
     return h
 
 
 def _spectrum_outside(
-    h: np.ndarray, low: float, high: float | None = None
+    build, low: float, high: float | None = None
 ) -> np.ndarray | None:
-    """None when every eigenvalue of Hermitian h lies in [low, high].
+    """None when every eigenvalue of the Hermitian build() lies in [low, high].
 
-    Otherwise returns the spectrum of h, for the caller's error message.
-    The range is certified by Cholesky factorisations of h - low*I and,
-    given an upper bound, high*I - h, stacked into one call; only when
-    one fails does eigvalsh decide, so an input within rounding of a
-    bound is accepted if its spectrum says so.
+    Otherwise returns its spectrum, for the caller's error message.
+    build() returns a fresh C-ordered matrix. The range is certified by
+    Cholesky factorisations of h - low*I and, given an upper bound,
+    high*I - h, stacked into one call; only when one fails does eigvalsh
+    decide, so an input within rounding of a bound is accepted if its
+    spectrum says so.
 
-    h must be a C-ordered buffer the caller owns: a lower-bound check
-    shifts its diagonal in place and leaves it shifted when the
-    factorisation succeeds (it is restored exactly before eigvalsh runs).
+    The factor is written over its input: over h itself for a lower
+    bound, over the stacked shifted pair for both. A failed factor is
+    NaN-filled, so a lower-bound check calls build() again, for the
+    unshifted h that eigvalsh needs.
+
+    Floating-point warnings are off inside, as inside
+    np.linalg.cholesky: a failed factor flags "invalid", and so does
+    build()'s hermiticity gap of an inf entry not yet refused
+    (inf - inf).
     """
-    n = h.shape[0]
-    if high is None:
-        shifted = h
-        diag = h.reshape(n * n)[:: n + 1]
-        saved = diag.copy()
-        diag -= low
-    else:
-        shifted = np.empty((2, n, n), dtype=h.dtype)
-        shifted[0] = h
-        np.negative(h, out=shifted[1])
-        shifted[0].reshape(n * n)[:: n + 1] -= low
-        shifted[1].reshape(n * n)[:: n + 1] += high
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
+    with np.errstate(all="ignore"):
+        h = build()
+        n = h.shape[0]
         if high is None:
-            diag[...] = saved
-        eigs = np.linalg.eigvalsh(h)
-        if eigs.min() < low or (high is not None and eigs.max() > high):
-            return eigs
+            shifted = h[np.newaxis]
+        else:
+            shifted = np.empty((2, n, n), dtype=h.dtype)
+            shifted[0] = h
+            np.negative(h, out=shifted[1])
+            shifted[1].reshape(n * n)[:: n + 1] += high
+        shifted[0].reshape(n * n)[:: n + 1] -= low
+        _cholesky_lo(shifted, out=shifted)
+        # a failed factor is NaN-filled, and one that succeeds starts
+        # with the root of a positive pivot: the corners' sum is NaN
+        # exactly when a factor failed
+        if not cmath.isnan(sum(shifted[:, 0, 0].tolist())):
+            return None
+        eigs = np.linalg.eigvalsh(build() if high is None else h)
+    if eigs.min() < low or (high is not None and eigs.max() > high):
+        return eigs
     return None
 
 
@@ -218,11 +262,17 @@ def _checked_operator(
     spectrum of its symmetrised part lies in [-EIG_CLIP, high].
     """
     # one private C-ordered copy, taken before any check reads it
-    m = _require_matrix(np.array(mat, dtype=np.complex128, order="C"))
-    dims = check_dims(dims, m.shape[0])
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{what} must be square")
-    eigs = _spectrum_outside(_hermitian_part(m, what), -EIG_CLIP, high)
+    m = _require_2d(np.array(mat, dtype=np.complex128, order="C"))
+    try:
+        dims = check_dims(dims, m.shape[0])
+        if m.shape[0] != m.shape[1]:
+            raise DimensionError(f"{what} must be square")
+        eigs = _spectrum_outside(lambda: _hermitian_part(m, what), -EIG_CLIP, high)
+    except ValueError:
+        # a non-finite entry is refused first; past the Hermitian gap
+        # every entry is finite
+        _require_finite(m, "matrix entries")
+        raise
     if eigs is not None:
         if high is None:
             raise NotPositiveError(f"{what} has eigenvalue {eigs.min():.3e}")
@@ -274,22 +324,29 @@ def _checked_channel(blocks, n: int, m: int, check_cp: bool) -> tuple[np.ndarray
     arr = np.array(blocks, dtype=np.complex128, order="C")  # the private copy
     if arr.shape != (m, m, n, n):
         raise DimensionError(f"blocks shape {arr.shape}, expected {(m, m, n, n)}")
-    _require_finite(arr, "block entries")
     # The Choi matrix choi[(k, i), (l, j)] = c[k, l][i, j] is
     # arr.transpose(0, 2, 1, 3) flattened; it is Hermitian exactly when
     # c[l, k] = c[k, l]^dag, and its conjugate transpose, as 4-d indices,
     # is conj(arr.transpose(1, 3, 0, 2)).
-    if not _conj_gap(arr, arr.transpose(1, 0, 3, 2)) <= HERMITIAN_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf of an inf entry
+        gap = _conj_gap(arr, arr.transpose(1, 0, 3, 2))
+    if not gap <= HERMITIAN_TOL:
+        # a non-finite entry is refused first; past the gap every entry
+        # is finite
+        _require_finite(arr, "block entries")
         raise NotPositiveError("blocks break the hermiticity pattern")
     slack = np.eye(n) - np.einsum("kkij->ij", arr)
     unital = bool(np.max(np.abs(slack)) <= NORM_TOL)
     if not unital:
-        slack = _conj_mean(slack, slack.T)
-        if _spectrum_outside(slack, -NORM_TOL) is not None:
+        if _spectrum_outside(lambda: _conj_mean(slack, slack.T), -NORM_TOL) is not None:
             raise NotPositiveError("block diagonal sums above the identity")
     if check_cp:
-        choi = _conj_mean(arr.transpose(0, 2, 1, 3), arr.transpose(1, 3, 0, 2))
-        eigs = _spectrum_outside(choi.reshape(m * n, m * n), -CP_TOL)
+        eigs = _spectrum_outside(
+            lambda: _conj_mean(
+                arr.transpose(0, 2, 1, 3), arr.transpose(1, 3, 0, 2)
+            ).reshape(m * n, m * n),
+            -CP_TOL,
+        )
         if eigs is not None:
             raise NotPositiveError(
                 f"blocks are not completely positive ({eigs.min():.3e})"
@@ -378,10 +435,15 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
+    """Read matrix_to_json's form; rows and cols are integers, as dims are."""
     re = np.asarray(d["re"], dtype=float)
     im = np.asarray(d["im"], dtype=float)
     if re.shape != im.shape or re.ndim != 2:
         raise DimensionError("re/im parts must be matching 2-d arrays")
-    if re.shape != (int(d["rows"]), int(d["cols"])):
+    try:
+        declared = (operator.index(d["rows"]), operator.index(d["cols"]))
+    except TypeError:
+        raise DimensionError("declared rows/cols must be integers") from None
+    if re.shape != declared:
         raise DimensionError("declared rows/cols do not match the entries")
     return as_matrix(re + 1j * im)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qbayes import correspond as co
-from qbayes.quantum import QState
+from qbayes.quantum import Effect, QState
 from qbayes.verify import random_effect, random_qstate
 
 DIMS = (16, 16)
@@ -43,14 +43,23 @@ def rho():
 
 
 def test_state_constructor(rho):
-    # the frozen copy, the symmetrised part and its Cholesky factor
-    assert _peak_in_joints(lambda: QState(rho, DIMS), rho.nbytes) <= 3.1
+    # the frozen copy and the symmetrised part, which the range check
+    # factors in place, next to one row block of the hermiticity gap
+    assert _peak_in_joints(lambda: QState(rho, DIMS), rho.nbytes) <= 2.2
+
+
+def test_effect_constructor():
+    p = np.array(random_effect(DIMS, np.random.default_rng(6)).mat)
+    # the frozen copy, the symmetrised part and the stacked shifted pair
+    # that the range check factors in place
+    assert _peak_in_joints(lambda: Effect(p, DIMS), p.nbytes) <= 4.1
 
 
 def test_random_qstate(rho):
     rng = np.random.default_rng(3)
-    # the Ginibre square and its Gram matrix next to the constructor's three
-    assert _peak_in_joints(lambda: random_qstate(DIMS, rng), rho.nbytes) <= 5.1
+    # three at a time: the Ginibre square, its conjugated temporary and
+    # the Gram matrix, then the Gram matrix and the constructor's two
+    assert _peak_in_joints(lambda: random_qstate(DIMS, rng), rho.nbytes) <= 3.2
 
 
 def test_extract_on_a_fresh_joint(rho):

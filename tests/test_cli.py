@@ -355,6 +355,31 @@ class TestInspectCommand:
         assert out == ""
         assert err == "inspect: bad dimension list [2.5]\n"
 
+    def test_overflowing_rows_are_usage_error(self, tmp_path, capsys):
+        text = json.dumps(QState.maximally_mixed((2,)).to_json())
+        f = tmp_path / "state.json"
+        f.write_text(text.replace('"rows": 2', '"rows": 1e400'))
+        code, out, err = _run(capsys, "inspect", "--file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "inspect: declared rows/cols must be integers\n"
+
+    def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = _run(capsys, "inspect", "--file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "inspect: JSON nested too deeply to decode\n"
+
+    def test_stored_pass_flag_is_not_trusted(self, tmp_path, capsys):
+        eq = '{"name": "x", "max_dev": NaN, "tol": 1e-09, "pass": true}'
+        f = tmp_path / "report.json"
+        f.write_text(
+            '{"suite": "fake", "seed": 0, "trials": 1, "equations": [%s]}' % eq
+        )
+        code, out, _ = _run(capsys, "inspect", "--file", str(f))
+        assert code == 0
+        assert "max_dev=nan" in out and out.endswith("\nFAIL: x\n")
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "inspect", "--file", "/no/such/file.json")
         assert code == 2

@@ -12,6 +12,7 @@ import pytest
 
 from qbayes import classical as cl
 from qbayes import correspond as co
+from qbayes import linalg
 from qbayes import quantum as qu
 from qbayes.classical import Dist, FuzzyPred, Space, StochChannel
 from qbayes.errors import DimensionError, SingularMarginalError, ZeroValidityError
@@ -401,7 +402,7 @@ class TestNoJointSizedRoot:
 
         monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "cholesky", recording(np.linalg.cholesky))
+        monkeypatch.setattr(linalg, "_cholesky_lo", recording(linalg._cholesky_lo))
         return seen
 
     def test_decompositions_by_size(self, sizes):

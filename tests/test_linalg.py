@@ -108,11 +108,21 @@ class TestSymmetrise:
 
     @pytest.mark.parametrize("bounds", [(-1e-10, None), (0.0, 1.0)])
     def test_spectrum_outside_reports_the_unshifted_spectrum(self, bounds):
+        # a lower-bound check factors h itself, so a failure rebuilds it;
+        # the stacked pair is a separate buffer and leaves h as it was
+        builds = 2 if bounds[1] is None else 1
         rng = np.random.default_rng(12)
         h = linalg._hermitian_part(_near_hermitian(rng, 6), "test")
         want = np.linalg.eigvalsh(h)
-        got = linalg._spectrum_outside(h.copy(), *bounds)
+        built = []
+
+        def build():
+            built.append(h.copy())
+            return built[-1]
+
+        got = linalg._spectrum_outside(build, *bounds)
         np.testing.assert_array_equal(got, want)
+        assert len(built) == builds
 
     @pytest.mark.parametrize("shape", [(300, 300), (6, 6, 7, 7), (1, 1)])
     def test_blocked_gap_is_the_whole_gap(self, shape):
@@ -128,12 +138,62 @@ class TestSymmetrise:
             a = np.eye(300, dtype=complex)
             a[where] = np.nan
             assert np.isnan(linalg._conj_gap(a, a.T)), where
-            assert np.isnan(linalg._conj_gap(a, a.T, np.empty_like(a))), where
+            with pytest.raises(NotPositiveError, match="not Hermitian"):
+                linalg._hermitian_part(a, "test")
 
     def test_spectrum_inside_is_certified(self):
         h = np.diag([0.25, 0.5, 0.75]).astype(complex)
-        assert linalg._spectrum_outside(h.copy(), -1e-10) is None
-        assert linalg._spectrum_outside(h.copy(), -1e-10, 1.0) is None
+        assert linalg._spectrum_outside(h.copy, -1e-10) is None
+        assert linalg._spectrum_outside(h.copy, -1e-10, 1.0) is None
+
+
+class TestFactorInPlace:
+    def test_gufunc_nan_fills_a_failed_factor_in_place(self):
+        rng = np.random.default_rng(14)
+        g = _rand_complex(rng, 5, 5)
+        good = g @ g.conj().T + np.eye(5)
+        pair = np.stack([good, -good])
+        # a failure also flags "invalid", which _spectrum_outside silences
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            out = linalg._cholesky_lo(pair, out=pair)
+        assert out is pair
+        np.testing.assert_array_equal(pair[0], np.linalg.cholesky(good))
+        assert np.isnan(pair[1]).all()
+
+    @pytest.mark.parametrize(
+        "eigs, failed, message",
+        [
+            (
+                [-2 * linalg.EIG_CLIP, 0.5],
+                [True, False],
+                "effect eigenvalues [-2.000e-10, 5.000e-01] leave [0, 1]",
+            ),
+            (
+                [0.5, 1 + 2 * linalg.EIG_CLIP],
+                [False, True],
+                "effect eigenvalues [5.000e-01, 1.000e+00] leave [0, 1]",
+            ),
+        ],
+        ids=["below-zero", "above-one"],
+    )
+    def test_each_half_of_an_effect_pair_fails_alone(
+        self, monkeypatch, eigs, failed, message
+    ):
+        halves = []
+
+        def recording(shifted, out):
+            linalg._umath_linalg.cholesky_lo(shifted, out=out)
+            halves.append(np.isnan(out[:, 0, 0]).tolist())
+            return out
+
+        monkeypatch.setattr(linalg, "_cholesky_lo", recording)
+        u, _ = np.linalg.qr(_rand_complex(np.random.default_rng(15), 2, 2))
+        for mat in (np.diag(eigs), (u * eigs) @ u.conj().T):
+            halves.clear()
+            with pytest.raises(NotPositiveError) as err:
+                Effect(mat, (2,))
+            assert str(err.value) == message
+            assert halves == [failed]
 
 
 def _partial_trace_oracle(mat, dims, keep):
@@ -229,6 +289,13 @@ class TestJson:
         with pytest.raises(DimensionError):
             linalg.matrix_from_json(d)
 
+    @pytest.mark.parametrize("rows", [float("inf"), 2.5, 2.0, "2", None])
+    def test_rows_must_be_an_integer(self, rows):
+        d = linalg.matrix_to_json(np.eye(2))
+        d["rows"] = rows
+        with pytest.raises(DimensionError, match="must be integers"):
+            linalg.matrix_from_json(d)
+
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
@@ -247,9 +314,7 @@ class TestFusedChecks:
         np.testing.assert_array_equal(_bits(got), _bits((a + a.conj().T) / 2))
         want = np.max(np.abs(a - a.conj().T))
         assert linalg._conj_gap(a, a.T) == want
-        buf = np.empty_like(a)
-        assert linalg._conj_gap(a, a.T, buf) == want
-        np.testing.assert_array_equal(_bits(buf), _bits(a.conj().T))
+        assert linalg._conj_gap(a, a.conj().T, conj=False) == want
 
     @pytest.mark.parametrize("where", [(0, 1), (70, 3), (127, 126)])
     def test_hermitian_part_rejects_a_gap_in_any_block(self, where):
@@ -257,6 +322,26 @@ class TestFusedChecks:
         a[where] = 2 * linalg.HERMITIAN_TOL
         with pytest.raises(NotPositiveError, match="^test: matrix is not Hermitian$"):
             linalg._hermitian_part(a, "test")
+
+    @pytest.mark.parametrize("n", [3, 65])
+    @pytest.mark.parametrize("special", [0.0, -0.0, 5e-324, np.inf, np.nan])
+    @pytest.mark.parametrize("d", [2.0, 3.7])
+    def test_divide_is_numpy_division_bit_for_bit(self, n, special, d):
+        # 65x65 is above _GAP_BLOCK entries: without a -0.0 or non-finite
+        # part it takes the float64 view
+        a = _rand_complex(np.random.default_rng(17), n, n)
+        a.real[0, :3] = special
+        a.imag[1, :3] = special
+        a[2, :3] = [
+            complex(special, 1.0),
+            complex(special, -1.0),
+            complex(-1.0, special),
+        ]
+        got, want = a.copy(), a.copy()
+        with np.errstate(invalid="ignore"):  # the complex loop's inf * 0
+            linalg._divide(got, d)
+            want /= d
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("stochastic", [True, False])
     def test_entry_clip_is_np_clip_bit_for_bit(self, stochastic):
