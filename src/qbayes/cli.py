@@ -178,7 +178,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     if cfg.json_out:
-        print(json.dumps(report.to_json(), indent=2, allow_nan=False))
+        print(json.dumps(report.to_json(), indent=2))
     else:
         print(format_report(report))
     return 0 if report.all_pass else 1

@@ -8,8 +8,8 @@ reshape convention, so no permutations are needed anywhere.
 The numerical tolerances of every layer live here, one constant per
 rule, so that every caller agrees on what "Hermitian", "PSD",
 "normalised" or "invertible" means. So do the checks that the
-classical and quantum value types run on their input: finiteness, then
-the range. A quantum channel is checked as its Choi matrix
+classical and quantum value types run on their input: finiteness first,
+then the range. A quantum channel is checked as its Choi matrix
 [c[k, l]]_kl (M.-D. Choi, Linear Algebra Appl. 10, 1975): its blocks'
 hermiticity pattern is that matrix being Hermitian, and complete
 positivity is that matrix being PSD.
@@ -22,11 +22,7 @@ The Hermitian check of an operator conjugates it once, in one
 C-ordered pass: h = conj(a^T) is both what max |a - h| is measured
 against and, added to a in place and halved, the symmetrised part
 (a + a^dag) / 2 that the range check and the square roots go on to
-factor. An operator's or a channel's entries are not scanned for
-finiteness on the way in: a gap within HERMITIAN_TOL implies them,
-since an inf or NaN entry makes its own difference inf or NaN. Only
-when a check is about to refuse does the finiteness check run first,
-so that a non-finite input is refused as such.
+factor.
 
 A spectral range check has a lower bound and may have an upper one: a
 state is PSD, an effect lies in 0 <= p <= I, a channel's Choi matrix
@@ -46,7 +42,6 @@ within rounding of the boundary. Each check raises its own refusal.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import string
@@ -91,21 +86,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
-        # also raised in place of a later check's refusal
-        raise ValueError(f"{what} must be finite") from None
+        raise ValueError(f"{what} must be finite")
 
 
-def _require_2d(mat: np.ndarray) -> np.ndarray:
+def _require_matrix(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {mat.shape}")
+    _require_finite(mat, "matrix entries")
     return mat
 
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex128 array."""
-    mat = _require_2d(np.asarray(a, dtype=np.complex128))
-    _require_finite(mat, "matrix entries")
-    return mat
+    return _require_matrix(np.asarray(a, dtype=np.complex128))
 
 
 def fro_norm(a: np.ndarray) -> float:
@@ -124,7 +117,10 @@ _GAP_BLOCK = 4096
 
 # numpy's LAPACK gufunc behind np.linalg.cholesky, which has no out=: it
 # writes each matrix's lower Cholesky factor into out, and NaN-fills the
-# factor of a matrix that is not positive definite.
+# factor of a matrix that is not positive definite. It is a private
+# module; its (m,m)->(m,m) signature and the NaN fill were checked on
+# numpy 2.4.6, and tests/test_linalg.py::TestFactorInPlace pins both
+# for the numpy installed.
 _cholesky_lo = _umath_linalg.cholesky_lo
 
 
@@ -159,33 +155,15 @@ def _conj_gap(a: np.ndarray, b: np.ndarray, conj: bool = True) -> float:
     return worst
 
 
-def _divide(h: np.ndarray, d: float) -> None:
-    """h /= d in place, for a positive real d, bit for bit.
-
-    numpy divides a complex entry by d as ((re + im*0) * (1/d),
-    (im - re*0) * (1/d)): each part times 1/d, unless a part is -0.0
-    (the sum may flip its sign) or not finite. A complex matrix larger
-    than _GAP_BLOCK entries with no such part is scaled through its
-    float64 view instead, at 256x256 in under half the time of numpy's
-    complex loop, its check included.
-    """
-    if h.size > _GAP_BLOCK and h.dtype == np.complex128:
-        parts = h.view(np.float64)
-        if np.isfinite(parts).all() and not np.signbit(parts[parts == 0]).any():
-            parts *= 1.0 / d
-            return
-    h /= d
-
-
 def _conj_mean(a: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """(a + conj(flipped)) / 2 in one fresh C-ordered array.
 
     With flipped = a.T this is (a + a.conj().T) / 2 bit for bit: the sum
-    commutes exactly and _divide halves as numpy's division does.
+    commutes exactly and the in-place halving is the same division.
     """
     h = np.conjugate(flipped, order="C")
     h += a
-    _divide(h, 2)
+    h /= 2
     return h
 
 
@@ -204,7 +182,7 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     if not _conj_gap(a, h, conj=False) <= HERMITIAN_TOL:
         raise NotPositiveError(f"{what}: matrix is not Hermitian")
     h += a
-    _divide(h, 2)
+    h /= 2
     return h
 
 
@@ -225,29 +203,26 @@ def _spectrum_outside(
     NaN-filled, so a lower-bound check calls build() again, for the
     unshifted h that eigvalsh needs.
 
-    Floating-point warnings are off inside, as inside
-    np.linalg.cholesky: a failed factor flags "invalid", and so does
-    build()'s hermiticity gap of an inf entry not yet refused
-    (inf - inf).
+    Floating-point warnings of the factorisation are off, as inside
+    np.linalg.cholesky: a failed factor flags "invalid".
     """
+    h = build()
+    n = h.shape[0]
+    if high is None:
+        shifted = h[np.newaxis]
+    else:
+        shifted = np.empty((2, n, n), dtype=h.dtype)
+        shifted[0] = h
+        np.negative(h, out=shifted[1])
+        shifted[1].reshape(n * n)[:: n + 1] += high
+    shifted[0].reshape(n * n)[:: n + 1] -= low
     with np.errstate(all="ignore"):
-        h = build()
-        n = h.shape[0]
-        if high is None:
-            shifted = h[np.newaxis]
-        else:
-            shifted = np.empty((2, n, n), dtype=h.dtype)
-            shifted[0] = h
-            np.negative(h, out=shifted[1])
-            shifted[1].reshape(n * n)[:: n + 1] += high
-        shifted[0].reshape(n * n)[:: n + 1] -= low
         _cholesky_lo(shifted, out=shifted)
-        # a failed factor is NaN-filled, and one that succeeds starts
-        # with the root of a positive pivot: the corners' sum is NaN
-        # exactly when a factor failed
-        if not cmath.isnan(sum(shifted[:, 0, 0].tolist())):
-            return None
-        eigs = np.linalg.eigvalsh(build() if high is None else h)
+    # a failed factor is NaN-filled, and one that succeeds starts with
+    # the root of a positive pivot
+    if not np.isnan(shifted[:, 0, 0]).any():
+        return None
+    eigs = np.linalg.eigvalsh(build() if high is None else h)
     if eigs.min() < low or (high is not None and eigs.max() > high):
         return eigs
     return None
@@ -262,17 +237,11 @@ def _checked_operator(
     spectrum of its symmetrised part lies in [-EIG_CLIP, high].
     """
     # one private C-ordered copy, taken before any check reads it
-    m = _require_2d(np.array(mat, dtype=np.complex128, order="C"))
-    try:
-        dims = check_dims(dims, m.shape[0])
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"{what} must be square")
-        eigs = _spectrum_outside(lambda: _hermitian_part(m, what), -EIG_CLIP, high)
-    except ValueError:
-        # a non-finite entry is refused first; past the Hermitian gap
-        # every entry is finite
-        _require_finite(m, "matrix entries")
-        raise
+    m = _require_matrix(np.array(mat, dtype=np.complex128, order="C"))
+    dims = check_dims(dims, m.shape[0])
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{what} must be square")
+    eigs = _spectrum_outside(lambda: _hermitian_part(m, what), -EIG_CLIP, high)
     if eigs is not None:
         if high is None:
             raise NotPositiveError(f"{what} has eigenvalue {eigs.min():.3e}")
@@ -324,16 +293,12 @@ def _checked_channel(blocks, n: int, m: int, check_cp: bool) -> tuple[np.ndarray
     arr = np.array(blocks, dtype=np.complex128, order="C")  # the private copy
     if arr.shape != (m, m, n, n):
         raise DimensionError(f"blocks shape {arr.shape}, expected {(m, m, n, n)}")
+    _require_finite(arr, "block entries")
     # The Choi matrix choi[(k, i), (l, j)] = c[k, l][i, j] is
     # arr.transpose(0, 2, 1, 3) flattened; it is Hermitian exactly when
     # c[l, k] = c[k, l]^dag, and its conjugate transpose, as 4-d indices,
     # is conj(arr.transpose(1, 3, 0, 2)).
-    with np.errstate(invalid="ignore"):  # inf - inf of an inf entry
-        gap = _conj_gap(arr, arr.transpose(1, 0, 3, 2))
-    if not gap <= HERMITIAN_TOL:
-        # a non-finite entry is refused first; past the gap every entry
-        # is finite
-        _require_finite(arr, "block entries")
+    if not _conj_gap(arr, arr.transpose(1, 0, 3, 2)) <= HERMITIAN_TOL:
         raise NotPositiveError("blocks break the hermiticity pattern")
     slack = np.eye(n) - np.einsum("kkij->ij", arr)
     unital = bool(np.max(np.abs(slack)) <= NORM_TOL)

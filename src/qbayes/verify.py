@@ -39,7 +39,7 @@ from .errors import (
     SupportError,
     ZeroValidityError,
 )
-from .linalg import _divide, check_dims, fro_norm, op_norm
+from .linalg import check_dims, fro_norm, op_norm
 from .quantum import Effect, QChannel, QState
 
 U64 = (1 << 64) - 1
@@ -93,7 +93,7 @@ def random_qstate(dims, rng: np.random.Generator) -> QState:
     g = _ginibre(n, n, rng)
     rho = g @ g.conj().T
     del g  # room for the constructor's copies
-    _divide(rho, np.trace(rho).real)
+    rho /= np.trace(rho).real
     return QState(rho, dims)
 
 
@@ -147,22 +147,6 @@ def random_stoch_channel(
 # ---------------------------------------------------------------------------
 # reports
 
-# JSON has no NaN or infinity (RFC 8259), so a non-finite deviation is
-# written as one of these strings, which float() reads back.
-_NON_FINITE = ("NaN", "Infinity", "-Infinity")
-
-
-def _dev_to_json(x: float) -> float | str:
-    if math.isfinite(x):
-        return x
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _dev_from_json(x) -> float:
-    if isinstance(x, str) and x not in _NON_FINITE:
-        raise ValueError(f"deviation {x!r} is not a number")
-    return float(x)
-
 
 @dataclass(frozen=True)
 class EquationResult:
@@ -174,7 +158,7 @@ class EquationResult:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "max_dev": _dev_to_json(self.max_dev),
+            "max_dev": self.max_dev,
             "tol": self.tol,
             "pass": self.passed,
         }
@@ -183,7 +167,7 @@ class EquationResult:
     def from_json(cls, d: dict) -> "EquationResult":
         # _drive's rule, not the stored flag alone: a NaN or
         # out-of-tolerance deviation never reads as a pass
-        max_dev, tol = _dev_from_json(d["max_dev"]), d["tol"]
+        max_dev, tol = d["max_dev"], d["tol"]
         return cls(d["name"], max_dev, tol, d["pass"] is True and max_dev < tol)
 
 
@@ -206,9 +190,7 @@ class TrialReport:
             "seed": self.seed,
             "trials": self.trials,
             "equations": [eq.to_json() for eq in self.equations],
-            "witnesses": [
-                {**w, "deviation": _dev_to_json(w["deviation"])} for w in self.witnesses
-            ],
+            "witnesses": self.witnesses,
             "trial_errors": self.trial_errors,
         }
 
@@ -219,10 +201,7 @@ class TrialReport:
             d["seed"],
             d["trials"],
             [EquationResult.from_json(eq) for eq in d["equations"]],
-            [
-                {**w, "deviation": _dev_from_json(w["deviation"])}
-                for w in d.get("witnesses", [])
-            ],
+            d.get("witnesses", []),
             d.get("trial_errors", 0),
         )
 

@@ -323,26 +323,6 @@ class TestFusedChecks:
         with pytest.raises(NotPositiveError, match="^test: matrix is not Hermitian$"):
             linalg._hermitian_part(a, "test")
 
-    @pytest.mark.parametrize("n", [3, 65])
-    @pytest.mark.parametrize("special", [0.0, -0.0, 5e-324, np.inf, np.nan])
-    @pytest.mark.parametrize("d", [2.0, 3.7])
-    def test_divide_is_numpy_division_bit_for_bit(self, n, special, d):
-        # 65x65 is above _GAP_BLOCK entries: without a -0.0 or non-finite
-        # part it takes the float64 view
-        a = _rand_complex(np.random.default_rng(17), n, n)
-        a.real[0, :3] = special
-        a.imag[1, :3] = special
-        a[2, :3] = [
-            complex(special, 1.0),
-            complex(special, -1.0),
-            complex(-1.0, special),
-        ]
-        got, want = a.copy(), a.copy()
-        with np.errstate(invalid="ignore"):  # the complex loop's inf * 0
-            linalg._divide(got, d)
-            want /= d
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-
     @pytest.mark.parametrize("stochastic", [True, False])
     def test_entry_clip_is_np_clip_bit_for_bit(self, stochastic):
         tiny = linalg.PROB_CLIP

@@ -1,6 +1,5 @@
 """The randomized harness itself: generators, determinism, reports."""
 
-import argparse
 import json
 from pathlib import Path
 
@@ -236,49 +235,8 @@ class TestFailsClosed:
         assert "FAIL: forward-inference, backward-inference" in capsys.readouterr().out
 
 
-def _refuse_constant(token):
-    raise ValueError(f"bare {token} is not JSON")
-
-
-class TestStrictJson:
-    def test_non_finite_deviations_are_strings(self, monkeypatch, capsys):
-        def trial(rng, dims, i):
-            yield "x", float("nan")
-            yield "y", float("inf")
-            yield "claim", float("nan"), {}
-
-        equations = {"x": 1e-9, "y": 1e-9, "z": 1e-9}
-        suite = verify._Suite(equations, (), trial, {"claim": "z"})
-        monkeypatch.setitem(verify.SUITES, "fake", suite)
-        cfg = argparse.Namespace(
-            suite="fake", trials=2, seed=0, dims=(3, 5), tol=None, json_out=True
-        )
-        assert cli._cmd_verify(cfg) == 1
-        d = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
-        assert [eq["max_dev"] for eq in d["equations"]] == ["NaN", "Infinity", "NaN"]
-        assert [w["deviation"] for w in d["witnesses"]] == ["NaN"]
-        report = verify.TrialReport.from_json(d)
-        assert np.isnan(report.equations[0].max_dev)
-        assert report.equations[1].max_dev == float("inf")
-        assert np.isnan(report.witnesses[0]["deviation"])
-        assert report.to_json() == d
-
-    @pytest.mark.parametrize(
-        "x, text",
-        [(float("nan"), "NaN"), (float("inf"), "Infinity"), (-1e400, "-Infinity")],
-    )
-    def test_each_non_finite_value_reads_back(self, x, text):
-        assert verify._dev_to_json(x) == text
-        back = verify._dev_from_json(text)
-        assert back == x or (np.isnan(back) and np.isnan(x))
-
-    def test_other_strings_are_refused(self):
-        with pytest.raises(ValueError, match="not a number"):
-            verify._dev_from_json("nan")
-
-
 class TestStoredPassFlag:
-    @pytest.mark.parametrize("max_dev", [float("nan"), "NaN", 1e-3])
+    @pytest.mark.parametrize("max_dev", [float("nan"), 1e-3])
     def test_a_failing_deviation_overrides_the_flag(self, max_dev):
         eq = {"name": "x", "max_dev": max_dev, "tol": 1e-9, "pass": True}
         stored = {"suite": "fake", "seed": 0, "trials": 1, "equations": [eq]}
