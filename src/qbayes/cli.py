@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -67,13 +66,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_tol(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be a finite value > 0")
-    return value
-
-
 def _dims_list(text: str) -> tuple[int, ...]:
     try:
         return check_dims([int(part) for part in text.split(",")])
@@ -98,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=_positive_int, default=100)
     ver.add_argument("--seed", type=int, default=2024)
     ver.add_argument("--dims", type=_dims_list, default=(3, 5))
-    ver.add_argument("--tol", type=_positive_tol, default=None)
     ver.add_argument("--json", action="store_true", dest="json_out")
 
     wit = sub.add_parser(
@@ -171,9 +162,7 @@ def format_report(report: TrialReport) -> str:
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
     try:
-        report = run_suite(
-            cfg.suite, trials=cfg.trials, seed=cfg.seed, dims=cfg.dims, tol=cfg.tol
-        )
+        report = run_suite(cfg.suite, trials=cfg.trials, seed=cfg.seed, dims=cfg.dims)
     except DimensionError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2

@@ -218,14 +218,16 @@ def _spectrum_outside(
     shifted[0].reshape(n * n)[:: n + 1] -= low
     with np.errstate(all="ignore"):
         _cholesky_lo(shifted, out=shifted)
-    # a failed factor is NaN-filled, and one that succeeds starts with
-    # the root of a positive pivot
-    if not np.isnan(shifted[:, 0, 0]).any():
+    # a failed factor is NaN-filled, and one that succeeds ends with the
+    # root of a positive pivot; a NaN pivot, which an overflowed h meets
+    # unflagged, propagates to that last entry too
+    if not np.isnan(shifted[:, -1, -1]).any():
         return None
     eigs = np.linalg.eigvalsh(build() if high is None else h)
-    if eigs.min() < low or (high is not None and eigs.max() > high):
-        return eigs
-    return None
+    # in range only when both comparisons hold: a NaN spectrum is refused
+    if low <= eigs.min() and (high is None or eigs.max() <= high):
+        return None
+    return eigs
 
 
 def _checked_operator(
@@ -319,11 +321,26 @@ def _checked_channel(blocks, n: int, m: int, check_cp: bool) -> tuple[np.ndarray
     return _freeze(arr), unital
 
 
+def _eig_span(w: np.ndarray, what: str) -> tuple[float, float]:
+    """The least and greatest of eigh's ascending eigenvalues, once finite.
+
+    eigh of a Hermitian part that overflowed to inf returns NaNs, which
+    no bound's comparison would refuse; w.min() is NaN if any of w is.
+    """
+    lo, hi = w.min(), w[-1]
+    if not -math.inf < lo <= hi < math.inf:
+        raise NotPositiveError(
+            f"{what}: eigenvalues [{lo:.3e}, {hi:.3e}] are not finite"
+        )
+    return lo, hi
+
+
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive square root of a PSD matrix via eigendecomposition."""
     w, v = np.linalg.eigh(_hermitian_part(a, "psd_sqrt"))
-    if w.min() < -EIG_CLIP:
-        raise NotPositiveError(f"psd_sqrt: eigenvalue {w.min():.3e} below -{EIG_CLIP}")
+    lo, _ = _eig_span(w, "psd_sqrt")
+    if lo < -EIG_CLIP:
+        raise NotPositiveError(f"psd_sqrt: eigenvalue {lo:.3e} below -{EIG_CLIP}")
     w = np.maximum(w, 0.0)  # np.clip(w, 0.0, None) bit for bit
     root = (v * np.sqrt(w)) @ v.conj().T
     return _conj_mean(root, root.T)
@@ -332,9 +349,10 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse positive square root of a strictly positive matrix."""
     w, v = np.linalg.eigh(_hermitian_part(a, "psd_inv_sqrt"))
-    if w.max() <= 0 or w.min() <= INV_CUTOFF * w.max():
+    lo, hi = _eig_span(w, "psd_inv_sqrt")
+    if hi <= 0 or lo <= INV_CUTOFF * hi:
         raise SingularMarginalError(
-            f"psd_inv_sqrt: eigenvalues span [{w.min():.3e}, {w.max():.3e}], "
+            f"psd_inv_sqrt: eigenvalues span [{lo:.3e}, {hi:.3e}], "
             "matrix is singular to working precision"
         )
     root = (v / np.sqrt(w)) @ v.conj().T

@@ -24,6 +24,7 @@ trial evaluated before it raised still count.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -237,58 +238,44 @@ def _drive(
     seed: int,
     trials: int,
     dims: tuple[int, ...],
-    tol: float | None,
 ) -> TrialReport:
     """Run trials 0..trials-1 of suite and reduce what they yield to a report.
 
-    What a trial yielded before it raised one of suite.tolerated still
-    counts. A search keeps its largest candidate by the equations' rule,
-    under which a NaN sticks, and only that candidate's inputs are
-    serialized.
+    Every item, (equation, deviation) or (claim, deviation, inputs), is
+    reduced by one rule: keep the largest value per name with its
+    inputs, and let a NaN stick. A search differs from an equation only
+    in its final shortfall and its witness entry. What a trial yielded
+    before it raised one of suite.tolerated still counts.
     """
-    dev = dict.fromkeys(suite.equations, 0.0)
+    worst = dict.fromkeys([*suite.equations, *suite.searches], (0.0, None))
     seen = set()
-    best = dict.fromkeys(suite.searches, (0.0, None))
     errors = 0
     for i in range(trials):
         try:
-            for item in suite.trial(trial_rng(seed, i), dims, i):
-                if len(item) == 3:
-                    claim, d, inputs = item
-                    # the equations' rule below
-                    if d > best[claim][0] or d != d:
-                        best[claim] = (d, inputs)
-                else:
-                    eq, d = item
-                    d = float(d)
-                    # a NaN sticks: nothing compares above it, and it fails
-                    if d > dev[eq] or d != d:
-                        dev[eq] = d
-                    seen.add(eq)
+            for key, value, *inputs in suite.trial(trial_rng(seed, i), dims, i):
+                value = float(value)
+                if value > worst[key][0] or value != value:
+                    worst[key] = (value, inputs or None)
+                seen.add(key)
         except suite.tolerated:
             errors += 1
     witnesses = []
     for claim, eq in suite.searches.items():
-        found, inputs = best[claim]
+        found, inputs = worst[claim]
         # np.maximum propagates a NaN shortfall, which then fails
-        dev[eq] = float(np.maximum(WITNESS_THRESHOLD - found, 0.0))
+        worst[eq] = (float(np.maximum(WITNESS_THRESHOLD - found, 0.0)), None)
         seen.add(eq)
         if inputs is not None:
-            witnesses.append(
-                {
-                    "claim": claim,
-                    "deviation": float(found),
-                    "inputs": {key: val.to_json() for key, val in inputs.items()},
-                }
-            )
+            (best,) = inputs
+            inputs = {key: val.to_json() for key, val in best.items()}
+            witnesses.append({"claim": claim, "deviation": found, "inputs": inputs})
     eqs = []
-    for eq, default in suite.equations.items():
-        eq_tol = default if tol is None else float(tol)
+    for eq, tol in suite.equations.items():
+        dev = worst[eq][0]
         # fails closed: an equation no trial evaluated does not pass,
         # and a NaN or infinite deviation is never below tol
-        passed = eq in seen and dev[eq] < eq_tol
-        eqs.append(EquationResult(eq, dev[eq], eq_tol, passed))
-    return TrialReport(name, int(seed), trials, eqs, witnesses, errors)
+        eqs.append(EquationResult(eq, dev, tol, eq in seen and dev < tol))
+    return TrialReport(name, seed, trials, eqs, witnesses, errors)
 
 
 def _classical_bayes(rng, dims, i):
@@ -598,12 +585,19 @@ SUITES = {
 }
 
 
+def _whole(value, name: str) -> int:
+    """value as an int, refused rather than truncated when not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_suite(
     suite: str,
     trials: int = 100,
     seed: int = 2024,
     dims=(3, 5),
-    tol: float | None = None,
 ) -> TrialReport:
     """Run one named suite and return its TrialReport.
 
@@ -613,9 +607,9 @@ def run_suite(
     entry per trial; witnesses reads only dims[0]; classical-bayes,
     semiexp and embedding ignore it and draw their own space sizes
     (4 to 6 points for classical-bayes, 2 to 4 for the other two).
-    A tol override replaces every equation's default tolerance; it must
-    be finite and > 0, since an infinite one would pass any deviation
-    and a zero, negative or NaN one would fail every equation.
+    Each equation is judged against the one tolerance its suite
+    declares. trials and seed are integers, as dims' entries are: 2.9
+    or "3" is refused, not truncated or parsed.
     Dimensions a suite cannot use raise DimensionError before any trial
     runs; only witnesses has such dims, dims[0] = 1, where all effects
     commute.
@@ -624,13 +618,13 @@ def run_suite(
         raise ValueError(
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
-    if int(trials) < 1:
+    trials = _whole(trials, "trials")
+    seed = _whole(seed, "seed")
+    if trials < 1:
         raise ValueError("trials must be >= 1")
-    if tol is not None and not 0 < float(tol) < math.inf:
-        raise ValueError(f"tol must be a finite value > 0, got {tol!r}")
     dims = check_dims(dims)
     spec = SUITES[suite]
     problem = spec.refuse(dims) if spec.refuse else None
     if problem:
         raise DimensionError(f"suite {suite} {problem}")
-    return _drive(suite, spec, seed, int(trials), dims, tol)
+    return _drive(suite, spec, seed, trials, dims)

@@ -1,5 +1,6 @@
 """Command line interface: argument handling, output, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -19,6 +20,18 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _declare_tols(monkeypatch, suite, tol, *names):
+    """Declare tol for the named equations of suite, or for all of them."""
+    spec = verify.SUITES[suite]
+    equations = {
+        eq: tol if not names or eq in names else old
+        for eq, old in spec.equations.items()
+    }
+    monkeypatch.setitem(
+        verify.SUITES, suite, dataclasses.replace(spec, equations=equations)
+    )
+
+
 class TestParsing:
     def test_verify_defaults(self):
         cfg = cli.parse_args(["verify", "--suite", "inference"])
@@ -27,7 +40,6 @@ class TestParsing:
         assert cfg.trials == 100
         assert cfg.seed == 2024
         assert cfg.dims == (3, 5)
-        assert cfg.tol is None
         assert not cfg.json_out
 
     def test_dims_parsing(self):
@@ -50,30 +62,33 @@ class TestParsing:
         assert "verify: error: argument --dims" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-    def test_unusable_tol_exits_with_usage_error(self, capsys, tol):
+    def test_tol_is_not_an_option(self, capsys):
+        # each equation keeps the tolerance its suite declares
         code, out, err = _run(
-            capsys, "verify", "--suite", "inference", "--trials", "2", "--tol", tol
+            capsys, "verify", "--suite", "inference", "--trials", "2", "--tol", "1e-3"
         )
         assert code == 2
         assert out == ""
-        assert "verify: error: argument --tol" in err
+        assert "unrecognized arguments: --tol 1e-3" in err
 
     def test_missing_command_exits_with_usage_error(self):
         assert cli.main([]) == 2
 
-    def test_successive_calls_share_no_state(self, capsys):
+    def test_successive_calls_share_no_state(self, monkeypatch, capsys):
+        _declare_tols(monkeypatch, "inference", 1e-3)
         code, out, _ = _run(
             capsys, "verify", "--suite", "inference", "--trials", "2",
-            "--tol", "1e-3", "--json",
+            "--seed", "7", "--json",
         )
         assert code == 0
         assert {eq["tol"] for eq in json.loads(out)["equations"]} == {1e-3}
+        assert json.loads(out)["seed"] == 7
+        monkeypatch.undo()
         code, out, _ = _run(capsys, "verify", "--suite", "inference", "--trials", "2")
         assert code == 0
-        assert out.startswith("suite=inference")
+        assert out.startswith("suite=inference seed=2024")
         assert "tol=1e-09" in out and "tol=0.001" not in out
-        assert cli.parse_args(["verify", "--suite", "inference"]).tol is None
+        assert cli.parse_args(["verify", "--suite", "inference"]).seed == 2024
 
 
 class TestDemo:
@@ -163,11 +178,10 @@ class TestVerifyCommand:
         assert out.endswith("PASS\n")
         assert err == ""
 
-    def test_tiny_tol_fails_and_names_the_equation(self, capsys):
+    def test_tiny_tol_fails_and_names_the_equation(self, monkeypatch, capsys):
+        _declare_tols(monkeypatch, "classical-bayes", 1e-300)
         code, out, _ = _run(
-            capsys,
-            "verify", "--suite", "classical-bayes",
-            "--trials", "5", "--tol", "1e-300",
+            capsys, "verify", "--suite", "classical-bayes", "--trials", "5"
         )
         assert code == 1
         assert "FAIL:" in out
@@ -198,10 +212,11 @@ class TestWitnessCommand:
         orders = lambda *args: (pq, qp, dist)  # noqa: E731
         monkeypatch.setattr(cli, "_conditioning_orders", orders)
         monkeypatch.setattr(verify, "_conditioning_orders", orders)
-        for tol, code in [(edge, 1), (np.nextafter(edge, 1.0), 0)]:
+        for tol, code in [(edge, 1), (float(np.nextafter(edge, 1.0)), 0)]:
             monkeypatch.setattr(cli, "FIXED_WITNESS_TOL", tol)
             assert _run(capsys, "witness", *json_flag)[0] == code
-            report = verify.run_suite("witnesses", trials=1, dims=(2,), tol=tol)
+            _declare_tols(monkeypatch, "witnesses", tol, "noncommute-fixed-witness")
+            report = verify.run_suite("witnesses", trials=1, dims=(2,))
             (fixed,) = [e for e in report.equations if e.name == "noncommute-fixed-witness"]
             assert fixed.max_dev == edge
             assert fixed.passed is (code == 0)
@@ -354,6 +369,16 @@ class TestInspectCommand:
         assert code == 2
         assert out == ""
         assert err == "inspect: bad dimension list [2.5]\n"
+
+    def test_overflowed_state_is_usage_error(self, tmp_path, capsys):
+        # a "state" with eigenvalue -1.7e308, which overflows when symmetrised
+        d = matrix_to_json(np.array([[0.5, 1.7e308], [1.7e308, 0.5]]))
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({**d, "dims": [2], "kind": "state"}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = _run(capsys, "inspect", "--file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "inspect: state has eigenvalue nan\n"
 
     def test_overflowing_rows_are_usage_error(self, tmp_path, capsys):
         text = json.dumps(QState.maximally_mixed((2,)).to_json())

@@ -88,6 +88,48 @@ def _near_hermitian(rng, n, real=False):
     return g + g.conj().T + 1e-11 * _rand_complex(rng, n, n)
 
 
+# Entries whose symmetrised part (a + a^dag) / 2 overflows to inf.
+_HUGE = 1.7e308
+
+
+class TestNonFiniteSpectrum:
+    """An overflowed spectrum is refused as not positive, never as singular."""
+
+    def test_state_with_overflowed_off_diagonal(self):
+        # eigenvalues 0.5 +- 1.7e308: not a state
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveError, match="state has eigenvalue nan"):
+                QState([[0.5, _HUGE], [_HUGE, 0.5]], (2,))
+
+    def test_effect_with_overflowed_diagonal(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveError, match="effect eigenvalues"):
+                Effect(np.diag([_HUGE, 0.5]), (2,))
+
+    def test_unital_channel_with_overflowed_choi_matrix(self):
+        # unital, and its Choi matrix is the non-state above
+        blocks = np.zeros((2, 2, 1, 1))
+        blocks[0, 0] = blocks[1, 1] = 0.5
+        blocks[0, 1] = blocks[1, 0] = _HUGE
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveError, match="not completely positive"):
+                QChannel(blocks, (1,), (2,))
+
+    @pytest.mark.parametrize("root", [linalg.psd_sqrt, linalg.psd_inv_sqrt])
+    def test_roots_refuse_an_overflowed_matrix(self, root):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveError, match="are not finite"):
+                root(np.diag([_HUGE, 0.5]))
+
+    @pytest.mark.parametrize("root", [linalg.psd_sqrt, linalg.psd_inv_sqrt])
+    def test_roots_refuse_an_overflowed_eigenvalue(self, root):
+        # a finite Hermitian part with eigenvalues 8e307 and 1.8e308
+        a = np.array([[1.3e308, 5e307], [5e307, 1.3e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveError, match="are not finite"):
+                root(a)
+
+
 class TestSymmetrise:
     @pytest.mark.parametrize(
         "case", ["real", "complex", "fortran", "1x1", "256x256"]
