@@ -1,13 +1,15 @@
 """Command-line front end: worked example, verification suites, witnesses.
 
 Exit codes: 0 on success, 1 when a suite equation or agreement check
-fails, 2 on usage errors.
+fails, a trial raises an error its suite does not tolerate, or the
+reader closes stdout early; 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -152,11 +154,14 @@ def format_report(report: TrialReport) -> str:
             f"  witness [{wit['claim']}] deviation={wit['deviation']:.6e}"
         )
     lines.append(f"trial errors: {report.trial_errors}")
+    if report.unexpected_errors:
+        counts = (f"{kind}×{n}" for kind, n in report.unexpected_errors.items())
+        lines.append(f"unexpected errors: {', '.join(counts)}")
     if report.all_pass:
         lines.append("PASS")
     else:
         failing = ", ".join(eq.name for eq in report.equations if not eq.passed)
-        lines.append(f"FAIL: {failing}")
+        lines.append(f"FAIL: {failing}" if failing else "FAIL")
     return "\n".join(lines)
 
 
@@ -278,7 +283,15 @@ def main(argv=None) -> int:
         "witness": _cmd_witness,
         "inspect": _cmd_inspect,
     }
-    return handlers[cfg.command](cfg)
+    try:
+        code = handlers[cfg.command](cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the exit-time flush to devnull, as the
+        # Python docs advise (signal module, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

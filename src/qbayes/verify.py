@@ -18,7 +18,8 @@ that no trial evaluated, is a FAIL.
 
 Per-trial failures such as a singular marginal on a degenerate draw are
 counted in trial_errors rather than aborting the run; the equations a
-trial evaluated before it raised still count.
+trial evaluated before it raised still count. Any other exception is
+counted by type in unexpected_errors and fails the report.
 """
 
 from __future__ import annotations
@@ -180,10 +181,11 @@ class TrialReport:
     equations: list[EquationResult]
     witnesses: list[dict] = field(default_factory=list)
     trial_errors: int = 0
+    unexpected_errors: dict[str, int] = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
-        return all(eq.passed for eq in self.equations)
+        return not self.unexpected_errors and all(eq.passed for eq in self.equations)
 
     def to_json(self) -> dict:
         return {
@@ -193,6 +195,7 @@ class TrialReport:
             "equations": [eq.to_json() for eq in self.equations],
             "witnesses": self.witnesses,
             "trial_errors": self.trial_errors,
+            "unexpected_errors": self.unexpected_errors,
         }
 
     @classmethod
@@ -204,6 +207,7 @@ class TrialReport:
             [EquationResult.from_json(eq) for eq in d["equations"]],
             d.get("witnesses", []),
             d.get("trial_errors", 0),
+            d.get("unexpected_errors", {}),
         )
 
 
@@ -216,7 +220,8 @@ class _Suite:
     """One verification suite, as data for _drive.
 
     equations: the ordered {equation: tol} table of the report.
-    tolerated: per-trial error types, counted in trial_errors.
+    tolerated: per-trial error types, counted in trial_errors; any
+        other exception is counted by type in unexpected_errors.
     trial: trial(rng, dims, i) draws trial i's instance from rng and
         yields (equation, deviation) as it evaluates each law, and
         (claim, deviation, inputs) for a search candidate, inputs being
@@ -245,11 +250,12 @@ def _drive(
     reduced by one rule: keep the largest value per name with its
     inputs, and let a NaN stick. A search differs from an equation only
     in its final shortfall and its witness entry. What a trial yielded
-    before it raised one of suite.tolerated still counts.
+    before it raised still counts.
     """
     worst = dict.fromkeys([*suite.equations, *suite.searches], (0.0, None))
     seen = set()
     errors = 0
+    unexpected = {}
     for i in range(trials):
         try:
             for key, value, *inputs in suite.trial(trial_rng(seed, i), dims, i):
@@ -259,6 +265,9 @@ def _drive(
                 seen.add(key)
         except suite.tolerated:
             errors += 1
+        except Exception as exc:
+            kind = type(exc).__name__
+            unexpected[kind] = unexpected.get(kind, 0) + 1
     witnesses = []
     for claim, eq in suite.searches.items():
         found, inputs = worst[claim]
@@ -275,7 +284,8 @@ def _drive(
         # fails closed: an equation no trial evaluated does not pass,
         # and a NaN or infinite deviation is never below tol
         eqs.append(EquationResult(eq, dev, tol, eq in seen and dev < tol))
-    return TrialReport(name, seed, trials, eqs, witnesses, errors)
+    unexpected = dict(sorted(unexpected.items()))
+    return TrialReport(name, seed, trials, eqs, witnesses, errors, unexpected)
 
 
 def _classical_bayes(rng, dims, i):

@@ -121,40 +121,10 @@ class TestConditioning:
         got = cl.condition(SMOKING, FuzzyPred.truth(BND))
         np.testing.assert_allclose(got.probs, SMOKING.probs, atol=1e-15)
 
-    def test_successive_equals_conjunction_and_commutes(self):
-        rng = np.random.default_rng(6)
-        sp = Space([f"x{i}" for i in range(5)])
-        u = rng.uniform(size=5)
-        w = Dist(sp, u / u.sum())
-        p = FuzzyPred(sp, rng.uniform(size=5))
-        q = FuzzyPred(sp, rng.uniform(size=5))
-        two_step = cl.condition(cl.condition(w, p), q)
-        merged = cl.condition(w, cl.conjunction(p, q))
-        swapped = cl.condition(cl.condition(w, q), p)
-        np.testing.assert_allclose(two_step.probs, merged.probs, atol=1e-12)
-        np.testing.assert_allclose(two_step.probs, swapped.probs, atol=1e-12)
-
     def test_zero_validity_rejected(self):
         zero = FuzzyPred(BND, [0.0, 0.0])
         with pytest.raises(ZeroValidityError):
             cl.condition(SMOKING, zero)
-
-    def test_product_and_bayes_rules(self):
-        rng = np.random.default_rng(16)
-        sp = Space([f"x{i}" for i in range(4)])
-        u = rng.uniform(size=4)
-        w = Dist(sp, u / u.sum())
-        p = FuzzyPred(sp, rng.uniform(size=4))
-        q = FuzzyPred(sp, rng.uniform(size=4))
-        v_p = cl.validity(w, p)
-        v_q = cl.validity(w, q)
-        lhs = cl.validity(cl.condition(w, p), q) * v_p
-        assert lhs == pytest.approx(
-            cl.validity(w, cl.conjunction(p, q)), abs=1e-12
-        )
-        assert lhs == pytest.approx(
-            cl.validity(cl.condition(w, q), p) * v_q, abs=1e-12
-        )
 
 
 class TestTransforms:
@@ -171,20 +141,6 @@ class TestTransforms:
         np.testing.assert_allclose(ident.push(SMOKING).probs, SMOKING.probs)
         p = FuzzyPred(BND, [0.2, 0.9])
         np.testing.assert_allclose(ident.pull(p).values, p.values)
-
-    def test_duality(self):
-        """(c >> w) |= q equals w |= (c << q)."""
-        rng = np.random.default_rng(17)
-        dom = Space([f"x{i}" for i in range(4)])
-        cod = Space([f"y{i}" for i in range(6)])
-        rows = rng.uniform(size=(4, 6))
-        c = StochChannel(dom, cod, rows / rows.sum(axis=1, keepdims=True))
-        u = rng.uniform(size=4)
-        w = Dist(dom, u / u.sum())
-        q = FuzzyPred(cod, rng.uniform(size=6))
-        assert cl.validity(c.push(w), q) == pytest.approx(
-            cl.validity(w, c.pull(q)), abs=1e-12
-        )
 
     def test_composition_agrees_both_ways(self):
         comp = ASHTRAY.then(CANCER)
@@ -252,25 +208,6 @@ class TestPairMarginalExtract:
     def test_extract_needs_two_components(self):
         with pytest.raises(DimensionError):
             cl.extract(SMOKING)
-
-
-class TestJointInference:
-    def test_forward_and_backward_agree_with_channel_route(self):
-        rng = np.random.default_rng(23)
-        sp = Space([f"x{i}" for i in range(4)], [f"y{i}" for i in range(5)])
-        u = rng.uniform(size=20)
-        tau = Dist(sp, u / u.sum())
-        xs, ys = Space(sp.components[0]), Space(sp.components[1])
-        p = FuzzyPred(xs, rng.uniform(size=4))
-        q = FuzzyPred(ys, rng.uniform(size=5))
-        chan = cl.extract(tau)
-        prior = tau.marginal([1, 0])
-        lhs = cl.condition(tau, p.tensor(FuzzyPred.truth(ys))).marginal([0, 1])
-        rhs = chan.push(cl.condition(prior, p))
-        np.testing.assert_allclose(lhs.probs, rhs.probs, atol=1e-12)
-        lhs = cl.condition(tau, FuzzyPred.truth(xs).tensor(q)).marginal([1, 0])
-        rhs = cl.condition(prior, chan.pull(q))
-        np.testing.assert_allclose(lhs.probs, rhs.probs, atol=1e-12)
 
 
 class TestSmokingNetwork:

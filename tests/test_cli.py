@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 from qbayes import cli, verify
 from qbayes.classical import Dist, Space, StochChannel
+from qbayes.errors import DimensionError
 from qbayes.linalg import matrix_to_json
 from qbayes.quantum import Effect, QChannel, QState
 
@@ -135,6 +137,7 @@ class TestVerifyCommand:
         report = json.loads(raw)
         assert set(report) == {
             "suite", "seed", "trials", "equations", "witnesses", "trial_errors",
+            "unexpected_errors",
         }
         for eq in report["equations"]:
             assert f"{eq['name']:<28} max_dev={eq['max_dev']:.6e}" in text
@@ -177,6 +180,22 @@ class TestVerifyCommand:
         assert code == 0
         assert out.endswith("PASS\n")
         assert err == ""
+
+    @pytest.mark.parametrize("error", [KeyError, DimensionError])
+    def test_an_untolerated_trial_error_fails_with_a_report(
+        self, monkeypatch, capsys, error
+    ):
+        # a DimensionError inside a trial is a fault, not a usage error
+        def trial(rng, dims, i):
+            yield "forward-inference", 0.0
+            raise error("forced")
+
+        spec = dataclasses.replace(verify.SUITES["inference"], trial=trial)
+        monkeypatch.setitem(verify.SUITES, "inference", spec)
+        code, out, err = _run(capsys, "verify", "--suite", "inference", "--trials", "3")
+        assert code == 1 and err == ""
+        want = f"unexpected errors: {error.__name__}×3\nFAIL: backward-inference"
+        assert want in out
 
     def test_tiny_tol_fails_and_names_the_equation(self, monkeypatch, capsys):
         _declare_tols(monkeypatch, "classical-bayes", 1e-300)
@@ -446,3 +465,22 @@ class TestEntryPoint:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "qbayes",
+                    "verify", "--json", "--suite", "inference", "--trials", "5",
+                ],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr

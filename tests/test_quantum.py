@@ -12,6 +12,7 @@ import pytest
 
 from qbayes import classical as cl
 from qbayes import quantum as qu
+from qbayes import verify
 from qbayes.classical import Dist, FuzzyPred, Space, StochChannel
 from qbayes.errors import (
     DimensionError,
@@ -20,32 +21,11 @@ from qbayes.errors import (
 )
 from qbayes.linalg import CP_TOL, EIG_CLIP, HERMITIAN_TOL, NORM_TOL, psd_sqrt
 from qbayes.quantum import Effect, QChannel, QState
+from qbayes.verify import random_effect, random_qchannel, random_qstate
 
 KET0 = Effect([[1, 0], [0, 0]], (2,))
 PLUS = Effect([[0.5, 0.5], [0.5, 0.5]], (2,))
 MIXED2 = QState.maximally_mixed((2,))
-
-
-def _ginibre(rng, rows, cols):
-    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-
-
-def _random_state(rng, n):
-    g = _ginibre(rng, n, n)
-    m = g @ g.conj().T
-    return QState(m / np.trace(m).real, (n,))
-
-
-def _random_effect(rng, n):
-    g = _ginibre(rng, n, n)
-    m = g @ g.conj().T
-    return Effect(rng.uniform() * m / np.linalg.norm(m, 2), (n,))
-
-
-def _random_channel(rng, n, m):
-    q, _ = np.linalg.qr(_ginibre(rng, m * m, n))
-    kraus = [q[i * m : (i + 1) * m, :] for i in range(m)]
-    return QChannel.from_kraus(kraus, (n,), (m,))
 
 
 class TestStateValidation:
@@ -139,7 +119,7 @@ def _with_spectrum(eigs, basis):
     d = np.diag(np.asarray(eigs, dtype=np.complex128))
     if basis == "diagonal":
         return d
-    q, _ = np.linalg.qr(_ginibre(np.random.default_rng(len(eigs)), *d.shape))
+    q, _ = np.linalg.qr(verify._ginibre(*d.shape, np.random.default_rng(len(eigs))))
     return q @ d @ q.conj().T
 
 
@@ -210,7 +190,7 @@ class TestRangeBoundaries:
             e = np.zeros((n, n))
             e[n - 1, 0] = 1.0
         else:
-            e = _ginibre(np.random.default_rng(n), n, n)
+            e = verify._ginibre(n, n, np.random.default_rng(n))
             e /= np.max(np.abs(e))
         blocks[0, 1] += factor * HERMITIAN_TOL * e
         message = "blocks break the hermiticity pattern" if factor > 1 else None
@@ -242,7 +222,7 @@ class TestSuccessPathSkipsTheSpectrum:
     def test_constructors_in_range_run_no_eigensolver(self, monkeypatch):
         rng = np.random.default_rng(95)
         n = 32
-        g = _ginibre(rng, n, n)
+        g = verify._ginibre(n, n, rng)
         pos = g @ g.conj().T
         state = pos / np.trace(pos).real
         effect = 0.9 * pos / np.linalg.norm(pos, 2)
@@ -276,7 +256,7 @@ class TestValidity:
 
     def test_truth_is_certain(self):
         rng = np.random.default_rng(41)
-        sigma = _random_state(rng, 3)
+        sigma = random_qstate((3,), rng)
         assert qu.validity(sigma, Effect.truth((3,))) == pytest.approx(1.0)
 
 
@@ -289,7 +269,7 @@ class TestAndthen:
 
     def test_truth_is_neutral(self):
         rng = np.random.default_rng(43)
-        p = _random_effect(rng, 3)
+        p = random_effect((3,), rng)
         np.testing.assert_allclose(
             qu.andthen(p, Effect.truth((3,))).mat, p.mat, atol=1e-10
         )
@@ -334,35 +314,6 @@ class TestConditioning:
             np.diag(lo.mat).real, [0.285 / 0.46, 0.175 / 0.46], atol=1e-12
         )
 
-    def test_product_rule_for_lower(self):
-        """(sigma|_p |= q) * (sigma |= p) = sigma |= (p & q)"""
-        rng = np.random.default_rng(44)
-        for n in (2, 3, 4):
-            sigma = _random_state(rng, n)
-            p = _random_effect(rng, n)
-            q = _random_effect(rng, n)
-            lhs = qu.validity(qu.condition_lower(sigma, p), q) * qu.validity(
-                sigma, p
-            )
-            assert lhs == pytest.approx(
-                qu.validity(sigma, qu.andthen(p, q)), abs=1e-10
-            )
-
-    def test_bayes_rule_for_upper(self):
-        """(sigma|^p |= q) * (sigma |= p) = (sigma|^q |= p) * (sigma |= q)"""
-        rng = np.random.default_rng(45)
-        for n in (2, 3, 4):
-            sigma = _random_state(rng, n)
-            p = _random_effect(rng, n)
-            q = _random_effect(rng, n)
-            lhs = qu.validity(qu.condition_upper(sigma, p), q) * qu.validity(
-                sigma, p
-            )
-            rhs = qu.validity(qu.condition_upper(sigma, q), p) * qu.validity(
-                sigma, q
-            )
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
     def test_zero_validity_rejected(self):
         one = QState([[1, 0], [0, 0]], (2,))
         bottom = Effect([[0, 0], [0, 1]], (2,))
@@ -401,16 +352,16 @@ class TestAsrt:
 
     def test_pull_is_andthen(self):
         rng = np.random.default_rng(46)
-        p = _random_effect(rng, 3)
-        q = _random_effect(rng, 3)
+        p = random_effect((3,), rng)
+        q = random_effect((3,), rng)
         np.testing.assert_allclose(
             qu.asrt(p).pull(q).mat, qu.andthen(p, q).mat, atol=1e-12
         )
 
     def test_push_operator_sandwiches(self):
         rng = np.random.default_rng(47)
-        sigma = _random_state(rng, 3)
-        p = _random_effect(rng, 3)
+        sigma = random_qstate((3,), rng)
+        p = random_effect((3,), rng)
         root = psd_sqrt(p.mat)
         np.testing.assert_allclose(
             qu.asrt(p).push_operator(sigma.mat),
@@ -420,7 +371,7 @@ class TestAsrt:
 
     def test_push_rejects_subnormalized(self):
         rng = np.random.default_rng(48)
-        p = _random_effect(rng, 2)
+        p = random_effect((2,), rng)
         with pytest.raises(ValueError):
             qu.asrt(p).push(MIXED2)
 
@@ -473,35 +424,25 @@ def test_refusals_name_their_cause(call, error, message):
 
 
 class TestChannelTransforms:
-    def test_duality(self):
-        """tr((c >> sigma) q) = tr(sigma (c << q))"""
-        rng = np.random.default_rng(49)
-        c = _random_channel(rng, 3, 5)
-        sigma = _random_state(rng, 3)
-        q = _random_effect(rng, 5)
-        assert qu.validity(c.push(sigma), q) == pytest.approx(
-            qu.validity(sigma, c.pull(q)), abs=1e-10
-        )
-
     def test_pull_truth_is_truth_for_unital(self):
         rng = np.random.default_rng(50)
-        c = _random_channel(rng, 3, 5)
+        c = random_qchannel((3,), (5,), rng)
         np.testing.assert_allclose(
             c.pull(Effect.truth((5,))).mat, np.eye(3), atol=1e-10
         )
 
     def test_identity_channel(self):
         rng = np.random.default_rng(51)
-        sigma = _random_state(rng, 3)
+        sigma = random_qstate((3,), rng)
         ident = QChannel.identity((3,))
         np.testing.assert_allclose(ident.push(sigma).mat, sigma.mat, atol=1e-12)
 
     def test_tensor_acts_componentwise(self):
         rng = np.random.default_rng(53)
-        c = _random_channel(rng, 2, 2)
-        d = _random_channel(rng, 3, 3)
-        a = _random_state(rng, 2)
-        b = _random_state(rng, 3)
+        c = random_qchannel((2,), (2,), rng)
+        d = random_qchannel((3,), (3,), rng)
+        a = random_qstate((2,), rng)
+        b = random_qstate((3,), rng)
         np.testing.assert_allclose(
             c.tensor(d).push(a.tensor(b)).mat,
             c.push(a).tensor(d.push(b)).mat,
@@ -512,11 +453,11 @@ class TestChannelTransforms:
     def test_tensor_of_cp_channels_is_cp(self, second):
         """tensor skips the CP check; its Choi matrix is PSD regardless."""
         rng = np.random.default_rng(54)
-        c = _random_channel(rng, 2, 3)
+        c = random_qchannel((2,), (3,), rng)
         if second == "channel":
-            d = _random_channel(rng, 3, 2)
+            d = random_qchannel((3,), (2,), rng)
         else:
-            d = qu.asrt(_random_effect(rng, 2))
+            d = qu.asrt(random_effect((2,), rng))
             assert not d.unital
         t = c.tensor(d)
         assert t.unital == d.unital
@@ -527,8 +468,8 @@ class TestChannelTransforms:
     def test_push_matches_trace_formula(self):
         """(c >> sigma)[k, l] = tr(c(|l><k|) sigma)"""
         rng = np.random.default_rng(54)
-        c = _random_channel(rng, 3, 4)
-        sigma = _random_state(rng, 3)
+        c = random_qchannel((3,), (4,), rng)
+        sigma = random_qstate((3,), rng)
         got = c.push(sigma).mat
         for k in range(4):
             for l in range(4):
@@ -538,8 +479,8 @@ class TestChannelTransforms:
     def test_pull_matches_sum_formula(self):
         """(c << q) = sum_kl q[k, l] c(|k><l|)"""
         rng = np.random.default_rng(55)
-        c = _random_channel(rng, 3, 4)
-        q = _random_effect(rng, 4)
+        c = random_qchannel((3,), (4,), rng)
+        q = random_effect((4,), rng)
         want = np.zeros((3, 3), dtype=np.complex128)
         for k in range(4):
             for l in range(4):
@@ -578,8 +519,8 @@ class TestTensor:
     def test_matches_entrywise_definition(self):
         """Row-major layout: (a (x) b)[3i + k, 3j + l] = a[i, j] b[k, l]."""
         rng = np.random.default_rng(7)
-        a = _random_state(rng, 2)
-        b = _random_state(rng, 3)
+        a = random_qstate((2,), rng)
+        b = random_qstate((3,), rng)
         got = a.tensor(b)
         assert got.dims == (2, 3)
         for i in range(2):
@@ -594,8 +535,8 @@ class TestTensor:
 class TestMarginals:
     def test_product_state_factors(self):
         rng = np.random.default_rng(56)
-        a = _random_state(rng, 2)
-        b = _random_state(rng, 3)
+        a = random_qstate((2,), rng)
+        b = random_qstate((3,), rng)
         joint = a.tensor(b)
         np.testing.assert_allclose(joint.marginal([1, 0]).mat, a.mat, atol=1e-12)
         np.testing.assert_allclose(joint.marginal([0, 1]).mat, b.mat, atol=1e-12)
@@ -618,36 +559,6 @@ class TestHatEmbedding:
         np.testing.assert_allclose(hat.blocks[0, 1], np.zeros((2, 2)))
         assert hat.unital
 
-    def test_validity_is_preserved(self):
-        rng = np.random.default_rng(57)
-        sp = Space([f"x{i}" for i in range(4)])
-        u = rng.uniform(size=4)
-        w = Dist(sp, u / u.sum())
-        p = FuzzyPred(sp, rng.uniform(size=4))
-        assert qu.validity(qu.hat_state(w), qu.hat_pred(p)) == pytest.approx(
-            cl.validity(w, p), abs=1e-12
-        )
-
-    def test_transforms_commute_with_embedding(self):
-        rng = np.random.default_rng(58)
-        dom = Space([f"x{i}" for i in range(3)])
-        cod = Space([f"y{i}" for i in range(4)])
-        rows = rng.uniform(size=(3, 4))
-        c = StochChannel(dom, cod, rows / rows.sum(axis=1, keepdims=True))
-        u = rng.uniform(size=3)
-        w = Dist(dom, u / u.sum())
-        q = FuzzyPred(cod, rng.uniform(size=4))
-        np.testing.assert_allclose(
-            qu.hat_channel(c).push(qu.hat_state(w)).mat,
-            qu.hat_state(c.push(w)).mat,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            qu.hat_channel(c).pull(qu.hat_pred(q)).mat,
-            qu.hat_pred(c.pull(q)).mat,
-            atol=1e-12,
-        )
-
     def test_conditionings_coincide_on_diagonal_data(self):
         w = Dist(Space(["t", "f"]), [0.3, 0.7])
         p = FuzzyPred(Space(["t", "f"]), [0.95, 0.25])
@@ -667,20 +578,20 @@ class TestHatEmbedding:
 class TestJsonForms:
     def test_state_round_trip(self):
         rng = np.random.default_rng(59)
-        sigma = _random_state(rng, 3)
+        sigma = random_qstate((3,), rng)
         back = QState.from_json(sigma.to_json())
         np.testing.assert_allclose(back.mat, sigma.mat, atol=1e-15)
         assert back.dims == sigma.dims
 
     def test_effect_round_trip(self):
         rng = np.random.default_rng(60)
-        p = _random_effect(rng, 3)
+        p = random_effect((3,), rng)
         back = Effect.from_json(p.to_json())
         np.testing.assert_allclose(back.mat, p.mat, atol=1e-15)
 
     def test_channel_round_trip(self):
         rng = np.random.default_rng(61)
-        c = _random_channel(rng, 2, 3)
+        c = random_qchannel((2,), (3,), rng)
         back = QChannel.from_json(c.to_json())
         np.testing.assert_allclose(back.blocks, c.blocks, atol=1e-15)
         assert back.in_dims == c.in_dims and back.out_dims == c.out_dims
@@ -695,7 +606,7 @@ class TestJsonForms:
 
     def test_kind_tag_is_written_and_checked(self):
         rng = np.random.default_rng(62)
-        sigma, p = _random_state(rng, 2), _random_effect(rng, 2)
+        sigma, p = random_qstate((2,), rng), random_effect((2,), rng)
         assert sigma.to_json()["kind"] == "state"
         assert p.to_json()["kind"] == "effect"
         with pytest.raises(ValueError):
@@ -705,7 +616,7 @@ class TestJsonForms:
 
     def test_untagged_forms_still_load(self):
         rng = np.random.default_rng(63)
-        sigma, p = _random_state(rng, 2), _random_effect(rng, 2)
+        sigma, p = random_qstate((2,), rng), random_effect((2,), rng)
         for obj, cls in ((sigma, QState), (p, Effect)):
             d = obj.to_json()
             del d["kind"]

@@ -1,19 +1,16 @@
-"""Semi-exponential structure on joints: abstraction, evaluation, laws.
+"""Semi-exponential structure on joints: abstraction and the eta law.
 
-The beta law holds on the nose; the eta law fails because abstraction
-always produces a joint with uniform first marginal.
+Abstraction is checked against its definition here; the beta law and
+naturality are the semiexp suite's equations. The eta law fails because
+abstraction always produces a joint with uniform first marginal.
 """
 
 import numpy as np
 import pytest
 
 from qbayes import classical as cl
-from qbayes.classical import Dist, Space, StochChannel
-
-
-def _random_channel(dom, cod, rng):
-    rows = rng.uniform(size=(dom.size, cod.size))
-    return StochChannel(dom, cod, rows / rows.sum(axis=1, keepdims=True))
+from qbayes.classical import Dist, Space
+from qbayes.verify import random_dist, random_stoch_channel
 
 
 ZS = Space(["z0", "z1"])
@@ -25,7 +22,7 @@ class TestAbstraction:
     def test_joint_entries_by_definition(self):
         """abstract(f)[z] puts mass f(z, x)(y) / #X at (x, y)."""
         rng = np.random.default_rng(31)
-        f = _random_channel(ZS.tensor(XS), YS, rng)
+        f = random_stoch_channel(ZS.tensor(XS), YS, rng)
         lam = cl.abstract(f)
         for z in ["z0", "z1"]:
             joint = lam[z]
@@ -37,7 +34,7 @@ class TestAbstraction:
 
     def test_first_marginal_is_uniform(self):
         rng = np.random.default_rng(32)
-        lam = cl.abstract(_random_channel(ZS.tensor(XS), YS, rng))
+        lam = cl.abstract(random_stoch_channel(ZS.tensor(XS), YS, rng))
         for joint in lam.values():
             np.testing.assert_allclose(
                 joint.marginal([1, 0]).probs, np.full(3, 1 / 3), atol=1e-12
@@ -46,48 +43,20 @@ class TestAbstraction:
     def test_needs_two_component_domain(self):
         rng = np.random.default_rng(33)
         with pytest.raises(Exception):
-            cl.abstract(_random_channel(XS, YS, rng))
-
-
-class TestBetaLaw:
-    def test_evaluation_recovers_the_channel(self):
-        """ev(abstract(f)[z], x) = f(z, x) for every z and x."""
-        rng = np.random.default_rng(34)
-        f = _random_channel(ZS.tensor(XS), YS, rng)
-        lam = cl.abstract(f)
-        for z in ["z0", "z1"]:
-            for x in ["x0", "x1", "x2"]:
-                np.testing.assert_allclose(
-                    cl.ev(lam[z], x).probs, f.row((z, x)).probs, atol=1e-12
-                )
-
-
-class TestNaturality:
-    def test_precompose_equals_mixing(self):
-        """abstract((g x id) ; f)[w] is the g(w)-mixture of abstract(f)."""
-        rng = np.random.default_rng(35)
-        ws = Space(["w0", "w1", "w2"])
-        f = _random_channel(ZS.tensor(XS), YS, rng)
-        g = _random_channel(ws, ZS, rng)
-        lam = cl.abstract(f)
-        lam_g = cl.abstract(g.tensor(StochChannel.identity(XS)).then(f))
-        for w in ["w0", "w1", "w2"]:
-            mixed = cl.mixture(g.row((w,)).probs, [lam["z0"], lam["z1"]])
-            np.testing.assert_allclose(lam_g[w].probs, mixed.probs, atol=1e-12)
+            cl.abstract(random_stoch_channel(XS, YS, rng))
 
 
 class TestEtaFailure:
     def test_round_trip_misses_skewed_joints(self):
         """pair(uniform, extract(tau)) != tau once M1(tau) is non-uniform."""
         rng = np.random.default_rng(36)
-        u = rng.uniform(size=XS.size * YS.size)
-        tau = Dist(XS.tensor(YS), u / u.sum())
+        tau = random_dist(XS.tensor(YS), rng)
         back = cl.pair(Dist.uniform(XS), cl.extract(tau))
         dev = float(np.max(np.abs(back.probs - tau.probs)))
         assert dev > 0.01
 
     def test_round_trip_fixes_uniform_joints(self):
         rng = np.random.default_rng(37)
-        tau = cl.pair(Dist.uniform(XS), _random_channel(XS, YS, rng))
+        tau = cl.pair(Dist.uniform(XS), random_stoch_channel(XS, YS, rng))
         back = cl.pair(Dist.uniform(XS), cl.extract(tau))
         np.testing.assert_allclose(back.probs, tau.probs, atol=1e-12)

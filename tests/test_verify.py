@@ -212,6 +212,18 @@ class TestFailsClosed:
         assert report.equations[0].max_dev == 0.0
         assert not report.all_pass
 
+    def test_an_untolerated_error_fails_the_report(self, monkeypatch):
+        def trial(rng, dims, i):
+            yield "x", 1e-12
+            raise KeyError("not a tolerated refusal")
+
+        _fake_suite(monkeypatch, trial, (SingularMarginalError,))
+        report = verify.run_suite("fake", trials=2, seed=0)
+        assert report.equations[0].passed
+        assert report.trial_errors == 0
+        assert report.unexpected_errors == {"KeyError": 2}
+        assert not report.all_pass
+
     def test_equations_before_a_raise_still_count(self, monkeypatch):
         def zero_validity(tau, q):
             raise ZeroValidityError("forced")
@@ -288,6 +300,13 @@ class TestStoredPassFlag:
         assert not report.equations[0].passed
         assert not report.all_pass
 
+    def test_stored_unexpected_errors_fail(self):
+        eq = {"name": "x", "max_dev": 0.0, "tol": 1e-9, "pass": True}
+        stored = {"suite": "fake", "seed": 0, "trials": 1, "equations": [eq]}
+        assert verify.TrialReport.from_json(stored).all_pass
+        stored["unexpected_errors"] = {"KeyError": 1}
+        assert not verify.TrialReport.from_json(stored).all_pass
+
     def test_a_false_flag_stays_false(self):
         eq = {"name": "x", "max_dev": 0.0, "tol": 1e-9, "pass": False}
         stored = {"suite": "fake", "seed": 0, "trials": 1, "equations": [eq]}
@@ -326,7 +345,9 @@ class TestReportShape:
             "equations",
             "witnesses",
             "trial_errors",
+            "unexpected_errors",
         }
+        assert d["unexpected_errors"] == {}
         for eq in d["equations"]:
             assert set(eq) == {"name", "max_dev", "tol", "pass"}
         assert d["suite"] == "inference" and d["trials"] == 3
